@@ -17,13 +17,14 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .dp import kernel2, rectangle, trapezoid3, weight_series
-from .oeis import MATCH, MISMATCH, oeis_check
+from .dp import kernel2, weight_series
+from .oeis import MATCH, MISMATCH, format_bfile, oeis_check
+from .oracle import OracleLimitError
 from .sequences import (
+    FAMILIES,
     GEN_DER,
     GLR3,
     TRAPEZOID,
-    TRAPEZOID_SPEC,
     TRIANGLE,
     JobSpec,
     OracleMismatchError,
@@ -31,7 +32,7 @@ from .sequences import (
     apply_total,
     run_job,
 )
-from .tiles import ShiftSpec, dump_tiles, enumerate_tiles
+from .tiles import dump_tiles, enumerate_tiles
 
 EXIT_ORACLE_MISMATCH = 3
 EXIT_OEIS_MISMATCH = 4
@@ -62,18 +63,6 @@ class ShiftList(click.ParamType):
 SHIFTS = ShiftList()
 
 
-def _spec_for(record: SequenceRecord) -> ShiftSpec | None:
-    if record.family == GEN_DER:
-        return ShiftSpec.two_rows(record.params["shifts"])
-    if record.family == GLR3:
-        return ShiftSpec.three_rows(
-            record.params["s12"], record.params["s13"], record.params["s23"]
-        )
-    if record.family == TRAPEZOID:
-        return TRAPEZOID_SPEC
-    return None
-
-
 def _bfile_comments(record: SequenceRecord) -> tuple[str, ...]:
     params = " ".join(f"{k}={v}" for k, v in sorted(record.params.items()))
     head = f"family={record.family}"
@@ -90,8 +79,6 @@ def _render(record: SequenceRecord, fmt: str) -> str:
     if fmt == "plain":
         return "\n".join(f"{n} {t}" for n, t in record.indexed_terms()) + "\n"
     if fmt == "bfile":
-        from .oeis import format_bfile
-
         return format_bfile(record, _bfile_comments(record))
     return json.dumps(record.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
@@ -105,17 +92,17 @@ def _emit(payload: str, output: Path | None) -> None:
 
 
 def _dumps(record: SequenceRecord, dump_tiles_flag: bool, dump_series: int | None) -> None:
-    spec = _spec_for(record)
-    if spec is None:
-        if dump_tiles_flag or dump_series is not None:
-            raise click.UsageError("this family has no tile alphabet to dump")
+    if not dump_tiles_flag and dump_series is None:
         return
+    family = FAMILIES.get(record.family)
+    if family is None:
+        raise click.UsageError("this family has no tile alphabet to dump")
+    tiles = enumerate_tiles(family.spec(record.params))
     if dump_tiles_flag:
-        click.echo(dump_tiles(enumerate_tiles(spec)), err=True)
+        click.echo(dump_tiles(tiles), err=True)
     if dump_series is not None:
-        board = trapezoid3() if record.family == TRAPEZOID else rectangle(spec.rows)
-        n_hi = max(dump_series, board.min_n)
-        table = weight_series(enumerate_tiles(spec), board, n_hi)
+        n_hi = max(dump_series, family.board.min_n)
+        table = weight_series(tiles, family.board, n_hi)
         for n, poly in table:
             if n > dump_series:
                 break
@@ -140,6 +127,8 @@ def _run(job: JobSpec, fmt, output, oeis_id, offline, dump_tiles_flag, dump_seri
     except OracleMismatchError as exc:
         click.echo(f"oracle mismatch: {exc}", err=True)
         sys.exit(EXIT_ORACLE_MISMATCH)
+    except OracleLimitError as exc:
+        raise click.UsageError(str(exc)) from None
     record = apply_total(reduced) if job.total else reduced
     _dumps(record, dump_tiles_flag, dump_series)
     _emit(_render(record, fmt), output)
@@ -211,6 +200,9 @@ def _engine_extras(fn):
 def main() -> None:
     """Exact counts of generalized derangements, 3-row Latin
     rectangles, Latin trapezoids and Latin triangles."""
+    # terms outgrow the default 4300-digit int/str conversion limit
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
 
 
 @main.command("gen-der")

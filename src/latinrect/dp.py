@@ -10,11 +10,14 @@ exactly once.  Tiles never translate vertically, so only tiles whose
 anchor row matches the current row are candidates, and with maximal
 tile width w the profile fits in w*rows bits.
 
-Out-of-board cells (short trapezoid rows, or columns past the right
-edge) must stay uncovered: states that covered one die when the scan
-reaches the cell.  On an unbounded rectangle sweep the snapshot after
-column c-1 reads the empty profile, which is exactly "no tile pokes
-into column c or beyond", so a single sweep yields every P_n at once.
+Out-of-board cells must stay uncovered: states that covered one die
+when the scan reaches the cell.  The snapshot after column c-1 reads
+the empty profile, which is exactly "no tile pokes into column c or
+beyond", so a single sweep yields every P_n at once.  Boards with
+short rows (trapezoids) are swept as their mirror image: reflected
+left-right, a short row's missing cells become a blocked prefix that
+does not depend on n, and board n+1 is again board n plus one full
+column on the right.
 
 Inside the sweep a monomial lives in a single integer, 16 bits per
 variable, so multiplying by a tile weight is one add; exponents are
@@ -65,16 +68,22 @@ class BoardShape:
     def min_n(self) -> int:
         return 3 if self.kind == TRAPEZOID3 else 0
 
-    def row_length(self, r: int, n: int) -> int:
+    def shortfall(self, r: int) -> int:
+        """How many cells row r is shorter than the board width n."""
         if not 0 <= r < self.rows:
             raise ValueError(f"row {r} out of range")
-        return n - r if self.kind == TRAPEZOID3 else n
+        return r if self.kind == TRAPEZOID3 else 0
+
+    def row_length(self, r: int, n: int) -> int:
+        return n - self.shortfall(r)
 
     def row_lengths(self, n: int) -> tuple[int, ...]:
         return tuple(self.row_length(r, n) for r in range(self.rows))
 
-    def blocked_flags(self, column: int, n: int) -> tuple[bool, ...]:
-        return tuple(column >= self.row_length(r, n) for r in range(self.rows))
+    def blocked_flags(self, column: int) -> tuple[bool, ...]:
+        """Rows without a cell in this column of the mirrored board,
+        where each short row is missing a prefix, not a suffix."""
+        return tuple(column < self.shortfall(r) for r in range(self.rows))
 
 
 def rectangle(rows: int) -> BoardShape:
@@ -152,10 +161,8 @@ class _Sweep:
     """Shared machinery: packed tile ops and cached column tables."""
 
     def __init__(self, tiles: Sequence[Tile], board: BoardShape):
-        self.board = board
         self.k = board.rows
         self.ring = ring_for(board.rows)
-        self.width = max(t.width for t in tiles)
         ops: list[list[tuple[int, int, int]]] = [[] for _ in range(self.k)]
         for t in tiles:
             bits = 0
@@ -199,11 +206,17 @@ class _Sweep:
         return table
 
     def advance(
-        self, dist: dict[int, dict[int, int]], blocked: tuple[bool, ...]
+        self,
+        dist: dict[int, dict[int, int]],
+        blocked: tuple[bool, ...],
+        empty_only: bool = False,
     ) -> dict[int, dict[int, int]]:
+        """One column; with empty_only, only the empty profile is kept."""
         ndist: dict[int, dict[int, int]] = {}
         for mask, poly in dist.items():
             for m2, delta, cf in self.column_table(mask, blocked):
+                if m2 and empty_only:
+                    continue
                 tgt = ndist.get(m2)
                 if tgt is None:
                     tgt = ndist[m2] = {}
@@ -238,31 +251,34 @@ class _Sweep:
 def weight_series(
     tiles: Sequence[Tile], board: BoardShape, n_max: int
 ) -> SeriesTable:
-    """P_n for every board size up to n_max.
+    """P_n for every board size from board.min_n up to n_max, from one
+    sweep with a snapshot at each column boundary.
 
-    Rectangles take one unbounded sweep with a snapshot at each column
-    boundary; trapezoids rerun per n because the short rows make the
-    right edge size-dependent.
+    A board with short rows is swept mirrored: its blocked cells then
+    form a fixed prefix, so the snapshot after column n-1 is P_n for
+    every n, exactly as on a rectangle.  Each tile is reflected too
+    (dx -> width-1-dx, cells back in scan order, same coefficient and
+    weight), which maps the tilings of the board one-to-one onto those
+    of its mirror image with the same weights.
     """
     if n_max * board.rows >= 1 << PACK_BITS:
         raise ValueError(f"n_max={n_max} overflows the packed exponent lanes")
-    sweep = _Sweep(tiles, board)
-    if board.kind == RECTANGLE:
-        open_col = (False,) * board.rows
-        dist: dict[int, dict[int, int]] = {0: {0: 1}}
-        polys = [sweep.ring.one()]
-        for _ in range(n_max):
-            dist = sweep.advance(dist, open_col)
-            polys.append(sweep.unpack(dist.get(0, {})))
-        return SeriesTable(ring=sweep.ring, first_n=0, polys=tuple(polys))
     if n_max < board.min_n:
-        raise ValueError(f"trapezoid series starts at n={board.min_n}")
-    polys = []
-    for n in range(board.min_n, n_max + 1):
-        dist = {0: {0: 1}}
-        for col in range(n):
-            dist = sweep.advance(dist, board.blocked_flags(col, n))
-        polys.append(sweep.unpack(dist.get(0, {})))
+        raise ValueError(f"{board.kind} series starts at n={board.min_n}")
+    if any(board.blocked_flags(0)):
+        tiles = [
+            Tile(tuple(sorted((t.width - 1 - dx, r) for dx, r in t.cells)),
+                 t.coefficient, t.weight)
+            for t in tiles
+        ]
+    sweep = _Sweep(tiles, board)
+    dist: dict[int, dict[int, int]] = {0: {0: 1}}
+    polys = [sweep.ring.one()] if board.min_n == 0 else []
+    for n in range(1, n_max + 1):
+        # nothing reads the profiles the last column leaves behind
+        dist = sweep.advance(dist, board.blocked_flags(n - 1), empty_only=n == n_max)
+        if n >= board.min_n:
+            polys.append(sweep.unpack(dist.get(0, {})))
     return SeriesTable(ring=sweep.ring, first_n=board.min_n, polys=tuple(polys))
 
 

@@ -199,34 +199,6 @@ def count_glr3(
     return total
 
 
-def iter_glr3(
-    s12: Iterable[int], s13: Iterable[int], s23: Iterable[int], n: int
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Naive double backtracking; cross-checks count_glr3 at small n."""
-    _guard(n, MAX_N_THREE_ROWS, "three-row")
-    s12, s13, s23 = frozenset(s12), frozenset(s13), frozenset(s23)
-    banned1 = _forbidden_values(n, s12, I_MINUS_PI)
-    banned2 = _forbidden_values(n, s13, I_MINUS_PI)
-    identity = tuple(range(1, n + 1))
-    for row1 in _iter_row1(n, banned1):
-        fixed1 = tuple(row1[1:])
-        row2 = [0] * (n + 1)
-
-        def go(m: int, used: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-            if m > n:
-                yield (identity, fixed1, tuple(row2[1:]))
-                return
-            for v in range(1, n + 1):
-                if used >> v & 1 or v in banned2[m]:
-                    continue
-                if any(1 <= m - s <= n and row1[m - s] == v for s in s23):
-                    continue
-                row2[m] = v
-                yield from go(m + 1, used | 1 << v)
-
-        yield from go(1, 0)
-
-
 def count_latin3_cycle_type(n: int) -> int:
     """Reduced 3 x n Latin rectangles by a second, structural route:
     group middle rows (derangements) by cycle type, then multiply the

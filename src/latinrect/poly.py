@@ -8,11 +8,11 @@ exact at any size.  Zero coefficients are dropped on construction and
 never stored.
 
 The module also carries the fraction-free linear algebra used to turn
-a transfer-matrix system into a rational generating function: a
-one-step fraction-free Gauss-Jordan solver (all divisions exact, no
-fractions ever materialize) and a RationalKernel wrapper that expands
-num/den into a weight-polynomial series via the induced linear
-recurrence.
+a transfer-matrix system into a rational generating function: one
+fraction-free Bareiss elimination for determinants and Cramer pairs
+(all divisions exact, no fractions ever materialize) and a
+RationalKernel wrapper that expands num/den into a weight-polynomial
+series via the induced linear recurrence.
 """
 
 from __future__ import annotations
@@ -125,11 +125,6 @@ class WeightPolynomial:
 
     def __len__(self) -> int:
         return len(self._terms)
-
-    def total_degree(self) -> int:
-        if not self._terms:
-            return -1
-        return max(sum(e) for e in self._terms)
 
     def degree(self, name: str) -> int:
         if not self._terms:
@@ -299,18 +294,27 @@ def exact_divide(num: WeightPolynomial, den: WeightPolynomial) -> WeightPolynomi
     return WeightPolynomial(num.ring, quot)
 
 
-def bareiss_determinant(matrix: Sequence[Sequence[WeightPolynomial]]) -> WeightPolynomial:
+def bareiss_determinant(
+    matrix: Sequence[Sequence[WeightPolynomial]],
+    rhs: Sequence[WeightPolynomial] | None = None,
+) -> WeightPolynomial | tuple[WeightPolynomial, WeightPolynomial]:
     """Exact determinant by fraction-free elimination.
 
     Every intermediate entry is a minor of the input, and each
     division by the previous pivot is exact; a failed division would
     signal corruption, so it raises instead of rounding.
+
+    With `rhs`, [A | rhs] is eliminated and the result is the pair
+    (det of A with its last column replaced by rhs, det A): the last
+    rhs entry and the last pivot, under the same row-swap sign.
     """
     n = len(matrix)
     if n == 0:
         raise ValueError("empty matrix")
     ring = matrix[0][0].ring
     m = [list(row) for row in matrix]
+    if rhs is not None:
+        m = [[*row, b] for row, b in zip(m, rhs)]
     prev = ring.one()
     sign = 1
     for k in range(n - 1):
@@ -325,7 +329,7 @@ def bareiss_determinant(matrix: Sequence[Sequence[WeightPolynomial]]) -> WeightP
                 best = weight
                 piv = r
         if piv is None:
-            return ring.zero()
+            return ring.zero() if rhs is None else (ring.zero(), ring.zero())
         if piv != k:
             m[k], m[piv] = m[piv], m[k]
             sign = -sign
@@ -333,12 +337,12 @@ def bareiss_determinant(matrix: Sequence[Sequence[WeightPolynomial]]) -> WeightP
         for i in range(k + 1, n):
             fac = m[i][k]
             row_i, row_k = m[i], m[k]
-            for j in range(k + 1, n):
+            for j in range(k + 1, len(row_i)):
                 row_i[j] = exact_divide(pivot * row_i[j] - fac * row_k[j], prev)
             row_i[k] = ring.zero()
         prev = pivot
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
+    last = [e if sign == 1 else -e for e in m[n - 1][n - 1:]]
+    return last[0] if rhs is None else (last[1], last[0])
 
 
 def solve_linear_system(
@@ -350,23 +354,23 @@ def solve_linear_system(
 
     Cramer's rule on fraction-free determinants: component i comes
     back as the pair (det of A with column i replaced by rhs, det A).
-    The pairs are exact but not reduced to lowest terms.  Passing
+    Each pair costs one elimination of [A | rhs] with column i moved
+    last, which scales both determinants by the same sign.  The
+    pairs are exact but not reduced to lowest terms.  Passing
     `components` restricts the work to those unknowns; the returned
     list follows the requested order.
     """
     n = len(matrix)
     if n == 0:
         return []
-    det = bareiss_determinant(matrix)
-    if det.is_zero():
-        raise SingularSystemError("transfer system is singular")
     wanted = range(n) if components is None else components
     out = []
     for i in wanted:
-        replaced = [
-            [rhs[r] if c == i else matrix[r][c] for c in range(n)] for r in range(n)
-        ]
-        out.append((bareiss_determinant(replaced), det))
+        moved = [[*row[:i], *row[i + 1:], row[i]] for row in matrix]
+        num, det = bareiss_determinant(moved, rhs)
+        if det.is_zero():
+            raise SingularSystemError("transfer system is singular")
+        out.append((num, det) if (n - 1 - i) % 2 == 0 else (-num, -det))
     return out
 
 

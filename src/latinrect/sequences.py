@@ -1,12 +1,12 @@
 """Sequence assembly: engine runs, oracle cross-checks, result records.
 
-Every public seq function computes its terms with the sweep engine,
-then replays a prefix on the brute-force oracle and refuses to return
-on any disagreement: a mismatch raises OracleMismatchError carrying
-the tile alphabet and the offending weight polynomial, because a
-wrong count with a plausible look is the worst failure mode this
-package has.  Latin triangles have no engine route and are computed
-by the oracle outright, marked as such in the record.
+Each engine family is one row of FAMILIES, and run_family computes its
+terms with the sweep engine, then replays a prefix on the brute-force
+oracle and refuses to return on any disagreement: a mismatch raises
+OracleMismatchError carrying the tile alphabet and the offending
+weight polynomial, because a wrong count with a plausible look is the
+worst failure mode this package has.  Latin triangles have no engine
+route and are computed by the oracle outright, marked as such.
 """
 
 from __future__ import annotations
@@ -14,11 +14,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from . import __version__ as ENGINE_VERSION
 from . import oracle, umbra
-from .dp import rectangle, trapezoid3, weight_series
+from .dp import BoardShape, rectangle, trapezoid3, weight_series
 from .tiles import ShiftSpec, dump_tiles, enumerate_tiles
 
 GEN_DER = "gen-der"
@@ -31,7 +31,53 @@ TRIANGLE = "triangle-oracle"
 #: and {0,-1} against the middle row
 TRAPEZOID_SPEC = ShiftSpec.three_rows({0, -1}, {0, -2}, {0, -1})
 
-DEFAULT_ORACLE_DEPTH = {GEN_DER: 7, GLR3: 5, TRAPEZOID: 7}
+
+@dataclass(frozen=True)
+class Family:
+    """What run_family needs to know about one engine family.  The
+    oracle and umbral functions are looked up in their modules at call
+    time, so wrapping or patching `oracle.count_*` and
+    `umbra.umbral_eval_*` takes effect."""
+
+    name: str
+    spec: Callable[[Mapping[str, Any]], ShiftSpec]
+    board: BoardShape
+    umbral: umbra.UmbralKind
+    oracle: Callable[[ShiftSpec, int], int]
+    oracle_cap: int
+    default_depth: int
+    first_n: int
+
+
+FAMILIES = {
+    f.name: f
+    for f in (
+        Family(
+            name=GEN_DER,
+            spec=lambda p: ShiftSpec.two_rows(p["shifts"]),
+            board=rectangle(2),
+            umbral=umbra.UmbralKind.TWO_ROW,
+            oracle=lambda spec, n: oracle.count_generalized_perms(spec.s12, n),
+            oracle_cap=oracle.MAX_N_TWO_ROWS, default_depth=7, first_n=1,
+        ),
+        Family(
+            name=GLR3,
+            spec=lambda p: ShiftSpec.three_rows(p["s12"], p["s13"], p["s23"]),
+            board=rectangle(3),
+            umbral=umbra.UmbralKind.THREE_ROW_RECTANGLE,
+            oracle=lambda spec, n: oracle.count_glr3(spec.s12, spec.s13, spec.s23, n),
+            oracle_cap=oracle.MAX_N_THREE_ROWS, default_depth=5, first_n=1,
+        ),
+        Family(
+            name=TRAPEZOID,
+            spec=lambda p: TRAPEZOID_SPEC,
+            board=trapezoid3(),
+            umbral=umbra.UmbralKind.THREE_ROW_TRAPEZOID,
+            oracle=lambda spec, n: oracle.count_trapezoid3(n),
+            oracle_cap=oracle.MAX_N_TRAPEZOID, default_depth=7, first_n=3,
+        ),
+    )
+}
 
 
 class OracleMismatchError(RuntimeError):
@@ -116,38 +162,53 @@ def _check_oracle(
         )
 
 
-def _depth(family: str, requested: int | None, n_terms: int, cap: int) -> int:
-    if requested is None:
-        requested = DEFAULT_ORACLE_DEPTH[family]
-    return max(0, min(requested, cap))
-
-
-def gen_der_seq(
-    shifts: Iterable[int], n_terms: int, oracle_depth: int | None = None
+def run_family(
+    family: Family,
+    params: Mapping[str, Iterable[int]],
+    n_terms: int,
+    oracle_depth: int | None = None,
 ) -> SequenceRecord:
-    """Permutations with i - pi(i) never in the shift set, n = 1..n_terms."""
+    """Terms n = first_n .. first_n+n_terms-1 of one engine family,
+    the prefix through oracle_depth checked against the oracle."""
     t0 = time.perf_counter()
-    spec = ShiftSpec.two_rows(shifts)
+    depth = family.default_depth if oracle_depth is None else oracle_depth
+    if depth > family.oracle_cap:
+        raise oracle.OracleLimitError(
+            f"the {family.name} oracle is capped at n={family.oracle_cap}; "
+            f"asked for oracle depth {depth}"
+        )
+    params = {k: sorted(set(v)) for k, v in params.items()}
+    spec = family.spec(params)
     tiles = enumerate_tiles(spec)
-    table = weight_series(tiles, rectangle(2), n_terms)
-    terms = [umbra.umbral_eval_2row(table.poly(n)) for n in range(1, n_terms + 1)]
-    depth = _depth(GEN_DER, oracle_depth, n_terms, oracle.MAX_N_TWO_ROWS)
-    for n in range(1, min(depth, n_terms) + 1):
-        ref = oracle.count_generalized_perms(spec.s12, n)
+    n_max = family.first_n + n_terms - 1
+    table = weight_series(tiles, family.board, n_max)
+    terms = [
+        umbra.umbral_eval(family.umbral, table.poly(n), n)
+        for n in range(family.first_n, n_max + 1)
+    ]
+    for n in range(family.first_n, min(depth, n_max) + 1):
         _check_oracle(
-            n, terms[n - 1], ref, spec.describe(),
+            n, terms[n - family.first_n], family.oracle(spec, n),
+            f"{family.name} {spec.describe()}",
             f"tiles:\n{dump_tiles(tiles)}\nP_{n} = {table.poly(n).canonical_str()}",
         )
     return SequenceRecord(
-        family=GEN_DER,
-        params={"shifts": sorted(spec.s12)},
-        offset=1,
+        family=family.name,
+        params=params,
+        offset=family.first_n,
         terms=terms,
         reduced=True,
         provenance="engine",
         engine_version=ENGINE_VERSION,
         duration_seconds=time.perf_counter() - t0,
     )
+
+
+def gen_der_seq(
+    shifts: Iterable[int], n_terms: int, oracle_depth: int | None = None
+) -> SequenceRecord:
+    """Permutations with i - pi(i) never in the shift set, n = 1..n_terms."""
+    return run_family(FAMILIES[GEN_DER], {"shifts": shifts}, n_terms, oracle_depth)
 
 
 def glr3_seq(
@@ -158,58 +219,14 @@ def glr3_seq(
     oracle_depth: int | None = None,
 ) -> SequenceRecord:
     """Reduced 3-row boards avoiding the three shift sets, n = 1..n_terms."""
-    t0 = time.perf_counter()
-    spec = ShiftSpec.three_rows(s12, s13, s23)
-    tiles = enumerate_tiles(spec)
-    table = weight_series(tiles, rectangle(3), n_terms)
-    terms = [umbra.umbral_eval_3row(table.poly(n), n) for n in range(1, n_terms + 1)]
-    depth = _depth(GLR3, oracle_depth, n_terms, oracle.MAX_N_THREE_ROWS)
-    for n in range(1, min(depth, n_terms) + 1):
-        ref = oracle.count_glr3(spec.s12, spec.s13, spec.s23, n)
-        _check_oracle(
-            n, terms[n - 1], ref, spec.describe(),
-            f"tiles:\n{dump_tiles(tiles)}\nP_{n} = {table.poly(n).canonical_str()}",
-        )
-    return SequenceRecord(
-        family=GLR3,
-        params={
-            "s12": sorted(spec.s12),
-            "s13": sorted(spec.s13),
-            "s23": sorted(spec.s23),
-        },
-        offset=1,
-        terms=terms,
-        reduced=True,
-        provenance="engine",
-        engine_version=ENGINE_VERSION,
-        duration_seconds=time.perf_counter() - t0,
+    return run_family(
+        FAMILIES[GLR3], {"s12": s12, "s13": s13, "s23": s23}, n_terms, oracle_depth
     )
 
 
 def trapezoid_seq(n_terms: int, oracle_depth: int | None = None) -> SequenceRecord:
     """Latin trapezoids with rows n, n-1, n-2; terms for n = 3..n_terms+2."""
-    t0 = time.perf_counter()
-    tiles = enumerate_tiles(TRAPEZOID_SPEC)
-    n_max = n_terms + 2
-    table = weight_series(tiles, trapezoid3(), n_max)
-    terms = [umbra.umbral_eval_trapezoid(table.poly(n), n) for n in range(3, n_max + 1)]
-    depth = _depth(TRAPEZOID, oracle_depth, n_terms, oracle.MAX_N_TRAPEZOID)
-    for n in range(3, min(depth, n_max) + 1):
-        ref = oracle.count_trapezoid3(n)
-        _check_oracle(
-            n, terms[n - 3], ref, "trapezoid3",
-            f"tiles:\n{dump_tiles(tiles)}\nP_{n} = {table.poly(n).canonical_str()}",
-        )
-    return SequenceRecord(
-        family=TRAPEZOID,
-        params={},
-        offset=3,
-        terms=terms,
-        reduced=True,
-        provenance="engine",
-        engine_version=ENGINE_VERSION,
-        duration_seconds=time.perf_counter() - t0,
-    )
+    return run_family(FAMILIES[TRAPEZOID], {}, n_terms, oracle_depth)
 
 
 def triangle_seq(n_terms: int) -> SequenceRecord:
@@ -253,17 +270,10 @@ def apply_total(record: SequenceRecord) -> SequenceRecord:
 def run_job(job: JobSpec) -> SequenceRecord:
     if job.n_terms < 1:
         raise ValueError(f"need at least one term, got {job.n_terms}")
-    if job.family == GEN_DER:
-        rec = gen_der_seq(job.params["shifts"], job.n_terms, job.oracle_depth)
-    elif job.family == GLR3:
-        rec = glr3_seq(
-            job.params["s12"], job.params["s13"], job.params["s23"],
-            job.n_terms, job.oracle_depth,
-        )
-    elif job.family == TRAPEZOID:
-        rec = trapezoid_seq(job.n_terms, job.oracle_depth)
-    elif job.family == TRIANGLE:
+    if job.family == TRIANGLE:
         rec = triangle_seq(job.n_terms)
+    elif job.family in FAMILIES:
+        rec = run_family(FAMILIES[job.family], job.params, job.n_terms, job.oracle_depth)
     else:
         raise ValueError(f"unknown family {job.family!r}")
     return apply_total(rec) if job.total else rec

@@ -4,6 +4,7 @@ output, dump flags, OEIS checking, and the documented exit codes."""
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
@@ -15,7 +16,7 @@ from latinrect.cli import (
     EXIT_ORACLE_MISMATCH,
     main,
 )
-from latinrect.oeis import cache_path
+from latinrect.oeis import cache_path, parse_bfile
 
 
 @pytest.fixture()
@@ -100,6 +101,19 @@ class TestOtherFamilies:
         r = invoke(runner, "triangle", "--n", "5", "--dump-tiles")
         assert r.exit_code == 2
 
+    def test_terms_past_4300_digits(self, runner):
+        # free 3 x n boards count (n!)^2, 5136 digits at n = 1000
+        want = {n: math.factorial(n) ** 2 for n in range(1, 1001)}
+        assert len(str(want[1000])) > 5000
+        plain = invoke(runner, "glr3", "-N", "1000")
+        assert plain.exit_code == 0
+        assert plain.stdout.splitlines()[-1] == f"1000 {want[1000]}"
+        data = json.loads(invoke(runner, "glr3", "-N", "1000", "-f", "json").stdout)
+        assert int(data["terms"][-1]) == want[1000]
+        bfile = invoke(runner, "glr3", "-N", "1000", "-f", "bfile")
+        assert bfile.exit_code == 0
+        assert parse_bfile(bfile.stdout) == want
+
 
 class TestKernel:
     def test_plain(self, runner):
@@ -127,6 +141,17 @@ class TestExitCodes:
         r = runner.invoke(main, ["gen-der", "--shifts", "0", "-N", "5"])
         assert r.exit_code == EXIT_ORACLE_MISMATCH
         assert "oracle mismatch" in r.stderr
+
+    @pytest.mark.parametrize("args", [
+        ("trapezoid", "-N", "3", "--oracle-depth", "20"),
+        ("gen-der", "--shifts", "0", "-N", "3", "--oracle-depth", "12"),
+        ("triangle", "--n", "9"),
+    ])
+    def test_check_past_oracle_cap_is_usage_error(self, runner, args):
+        r = invoke(runner, *args)
+        assert r.exit_code == 2
+        assert "capped at n=" in r.stderr or "stop at n=" in r.stderr
+        assert r.stdout == ""
 
     def test_oeis_match_is_0(self, runner, tmp_path, fixture_dir):
         target = cache_path("271", tmp_path)

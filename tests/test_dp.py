@@ -65,15 +65,18 @@ class TestBoardShape:
         b = rectangle(2)
         assert b.row_lengths(5) == (5, 5)
         assert b.min_n == 0
-        assert b.blocked_flags(4, 5) == (False, False)
+        assert b.blocked_flags(0) == (False, False)
+        assert b.blocked_flags(4) == (False, False)
 
     def test_trapezoid(self):
         b = trapezoid3()
         assert b.min_n == 3
         assert b.row_lengths(6) == (6, 5, 4)
-        assert b.blocked_flags(3, 6) == (False, False, False)
-        assert b.blocked_flags(4, 6) == (False, False, True)
-        assert b.blocked_flags(5, 6) == (False, True, True)
+        # mirrored board: the short rows miss a fixed prefix at any n
+        assert b.blocked_flags(0) == (False, True, True)
+        assert b.blocked_flags(1) == (False, False, True)
+        assert b.blocked_flags(2) == (False, False, False)
+        assert b.blocked_flags(9) == (False, False, False)
 
     def test_bad_kind(self):
         with pytest.raises(ValueError):
@@ -149,11 +152,21 @@ class TestTrapezoidSweep:
     SPEC = ShiftSpec.three_rows({0, -1}, {0, -2}, {0, -1})
 
     def test_vs_brute_force(self):
-        tiles = enumerate_tiles(self.SPEC)
-        table = weight_series(tiles, trapezoid3(), 6)
+        # random asymmetric specs too: a wrong reflection of the tiles
+        # is invisible on a left-right symmetric alphabet
+        rng = random.Random(3131)
+        cases = [(self.SPEC, 6)]
+        while len(cases) < 7:
+            sets = [{s for s in range(-2, 3) if rng.random() < 0.35} for _ in range(3)]
+            spec = ShiftSpec.three_rows(*sets)
+            if spec != spec.mirrored():
+                cases.append((spec, 5))
         ring = ring_for(3)
-        for n in range(3, 7):
-            assert table.poly(n) == weighted_tiling_sum(tiles, [n, n - 1, n - 2], ring)
+        for spec, n_max in cases:
+            tiles = enumerate_tiles(spec)
+            table = weight_series(tiles, trapezoid3(), n_max)
+            for n in range(3, n_max + 1):
+                assert table.poly(n) == weighted_tiling_sum(tiles, [n, n - 1, n - 2], ring)
 
     def test_replay_agrees(self):
         tiles = enumerate_tiles(self.SPEC)

@@ -175,9 +175,13 @@ class TestSolver:
                     solve_linear_system(mat, vec)
                 continue
             sol = solve_linear_system(mat, vec)
-            for (num, den), want in zip(sol, ref):
+            for i, ((num, den), want) in enumerate(zip(sol, ref)):
                 got = Fraction(num.constant_term(), den.constant_term())
                 assert got == want
+                # the exact Cramer pair, not just its ratio
+                replaced = [row[:i] + [b] + row[i + 1:] for row, b in zip(rows, rhs)]
+                assert (num.constant_term(), den.constant_term()) == \
+                    (frac_det(replaced), frac_det(rows))
             solved += 1
 
     def test_polynomial_system(self):
