@@ -27,10 +27,8 @@ from .tiles import (
 )
 from .dp import (
     BoardShape,
-    DPProfile,
     SeriesTable,
     kernel2,
-    profile_successors,
     rectangle,
     trapezoid3,
     weight_series,

@@ -17,7 +17,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .dp import kernel2, weight_series
+from .dp import kernel2
 from .oeis import MATCH, MISMATCH, format_bfile, oeis_check
 from .oracle import OracleLimitError
 from .sequences import (
@@ -91,22 +91,14 @@ def _emit(payload: str, output: Path | None) -> None:
         click.echo(f"wrote {output}", err=True)
 
 
-def _dumps(record: SequenceRecord, dump_tiles_flag: bool, dump_series: int | None) -> None:
-    if not dump_tiles_flag and dump_series is None:
-        return
-    family = FAMILIES.get(record.family)
-    if family is None:
-        raise click.UsageError("this family has no tile alphabet to dump")
-    tiles = enumerate_tiles(family.spec(record.params))
+def _dumps(record: SequenceRecord, dump_tiles_flag: bool) -> None:
+    """The tile alphabet if asked for, then the P_n that the job's own
+    sweep handed back."""
     if dump_tiles_flag:
-        click.echo(dump_tiles(tiles), err=True)
-    if dump_series is not None:
-        n_hi = max(dump_series, family.board.min_n)
-        table = weight_series(tiles, family.board, n_hi)
-        for n, poly in table:
-            if n > dump_series:
-                break
-            click.echo(f"P_{n} = {poly.canonical_str()}", err=True)
+        spec = FAMILIES[record.family].spec(record.params)
+        click.echo(dump_tiles(enumerate_tiles(spec)), err=True)
+    for n, poly in record.series.items():
+        click.echo(f"P_{n} = {poly.canonical_str()}", err=True)
 
 
 def _oeis(record: SequenceRecord, oeis_id: str | None, offline: bool) -> int:
@@ -123,14 +115,14 @@ def _oeis(record: SequenceRecord, oeis_id: str | None, offline: bool) -> int:
 
 def _run(job: JobSpec, fmt, output, oeis_id, offline, dump_tiles_flag, dump_series):
     try:
-        reduced = run_job(replace(job, total=False))
+        reduced = run_job(replace(job, total=False, series_to=dump_series))
     except OracleMismatchError as exc:
         click.echo(f"oracle mismatch: {exc}", err=True)
         sys.exit(EXIT_ORACLE_MISMATCH)
     except OracleLimitError as exc:
         raise click.UsageError(str(exc)) from None
     record = apply_total(reduced) if job.total else reduced
-    _dumps(record, dump_tiles_flag, dump_series)
+    _dumps(record, dump_tiles_flag)
     _emit(_render(record, fmt), output)
     # catalog terms describe reduced counts; compare before the n! blowup
     code = _oeis(reduced, oeis_id, offline)

@@ -19,6 +19,10 @@ left-right, a short row's missing cells become a blocked prefix that
 does not depend on n, and board n+1 is again board n plus one full
 column on the right.
 
+weight_snapshots yields the snapshots one at a time: a caller that
+turns each P_n into a count and drops it holds one column's profiles
+and one unpacked P_n, however long the run.
+
 Inside the sweep a monomial lives in a single integer, 16 bits per
 variable, so multiplying by a tile weight is one add; exponents are
 unpacked into tuples only when a snapshot is taken.
@@ -92,46 +96,6 @@ def rectangle(rows: int) -> BoardShape:
 
 def trapezoid3() -> BoardShape:
     return BoardShape(TRAPEZOID3, 3)
-
-
-@dataclass(frozen=True)
-class DPProfile:
-    """Sweep state: covered-ahead mask plus the row phase in the column."""
-
-    mask: int
-    phase: int
-
-
-def profile_successors(
-    profile: DPProfile,
-    tiles: Sequence[Tile],
-    board: BoardShape,
-    column: int,
-    n: int | None = None,
-) -> list[tuple[DPProfile, Tile | None]]:
-    """Single-cell step of the sweep, in plain objects.  n=None means
-    an unbounded board (every cell in-board).  The engine's column
-    tables fold k of these steps; tests replay them one by one."""
-    k = board.rows
-    r = profile.phase
-    nxt = (r + 1) % k
-    in_board = True if n is None else column < board.row_length(r, n)
-    if not in_board:
-        if profile.mask & 1:
-            return []
-        return [(DPProfile(profile.mask >> 1, nxt), None)]
-    if profile.mask & 1:
-        return [(DPProfile(profile.mask >> 1, nxt), None)]
-    out: list[tuple[DPProfile, Tile | None]] = []
-    for tile in tiles:
-        if tile.anchor_row != r:
-            continue
-        bits = 0
-        for dx, row in tile.cells:
-            bits |= 1 << (dx * k + row - r)
-        if profile.mask & bits == 0:
-            out.append((DPProfile((profile.mask | bits) >> 1, nxt), tile))
-    return out
 
 
 @dataclass(frozen=True)
@@ -239,20 +203,26 @@ class _Sweep:
         return ndist
 
     def unpack(self, packed: dict[int, int]) -> WeightPolynomial:
+        """Exponent tuples for packed keys; advance drops zeros and the
+        lanes are masked, so the terms need no re-validation."""
         nv = self.ring.nvars
-        lane = (1 << PACK_BITS) - 1
-        terms = {
-            tuple((mono >> (PACK_BITS * i)) & lane for i in range(nv)): c
-            for mono, c in packed.items()
-        }
-        return WeightPolynomial(self.ring, terms)
+        if nv == 1:
+            terms = {(mono,): c for mono, c in packed.items()}
+        else:
+            lane = (1 << PACK_BITS) - 1
+            shifts = range(0, PACK_BITS * nv, PACK_BITS)
+            terms = {
+                tuple((mono >> s) & lane for s in shifts): c
+                for mono, c in packed.items()
+            }
+        return WeightPolynomial.trusted(self.ring, terms)
 
 
-def weight_series(
+def weight_snapshots(
     tiles: Sequence[Tile], board: BoardShape, n_max: int
-) -> SeriesTable:
-    """P_n for every board size from board.min_n up to n_max, from one
-    sweep with a snapshot at each column boundary.
+) -> Iterator[tuple[int, WeightPolynomial]]:
+    """(n, P_n) for every board size from board.min_n up to n_max, from
+    one sweep, each yielded as its column boundary is reached.
 
     A board with short rows is swept mirrored: its blocked cells then
     form a fixed prefix, so the snapshot after column n-1 is P_n for
@@ -273,13 +243,22 @@ def weight_series(
         ]
     sweep = _Sweep(tiles, board)
     dist: dict[int, dict[int, int]] = {0: {0: 1}}
-    polys = [sweep.ring.one()] if board.min_n == 0 else []
+    if board.min_n == 0:
+        yield 0, sweep.ring.one()
     for n in range(1, n_max + 1):
         # nothing reads the profiles the last column leaves behind
         dist = sweep.advance(dist, board.blocked_flags(n - 1), empty_only=n == n_max)
         if n >= board.min_n:
-            polys.append(sweep.unpack(dist.get(0, {})))
-    return SeriesTable(ring=sweep.ring, first_n=board.min_n, polys=tuple(polys))
+            yield n, sweep.unpack(dist.get(0, {}))
+
+
+def weight_series(
+    tiles: Sequence[Tile], board: BoardShape, n_max: int
+) -> SeriesTable:
+    """All of weight_snapshots in one table, every P_n alive at once;
+    a caller that uses each P_n once should iterate the snapshots."""
+    polys = tuple(p for _, p in weight_snapshots(tiles, board, n_max))
+    return SeriesTable(ring=ring_for(board.rows), first_n=board.min_n, polys=polys)
 
 
 def kernel2(shifts: Iterable[int]) -> RationalKernel:

@@ -102,6 +102,14 @@ class WeightPolynomial:
         self._terms = clean
         self._hash: int | None = None
 
+    @classmethod
+    def trusted(cls, ring: PolyRing, terms: dict) -> "WeightPolynomial":
+        """Adopt terms known clean (nonzero coefficients, non-negative
+        exponent tuples of length ring.nvars): no check, no copy."""
+        p = cls.__new__(cls)
+        p.ring, p._terms, p._hash = ring, terms, None
+        return p
+
     # -- inspection ----------------------------------------------------
 
     def terms(self) -> list[tuple[tuple[int, ...], int]]:

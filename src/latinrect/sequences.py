@@ -1,8 +1,9 @@
 """Sequence assembly: engine runs, oracle cross-checks, result records.
 
 Each engine family is one row of FAMILIES, and run_family computes its
-terms with the sweep engine, then replays a prefix on the brute-force
-oracle and refuses to return on any disagreement: a mismatch raises
+terms with the sweep engine, one P_n at a time as the sweep yields it,
+replays a prefix on the brute-force oracle as it goes and refuses to
+return on any disagreement: a mismatch raises
 OracleMismatchError carrying the tile alphabet and the offending
 weight polynomial, because a wrong count with a plausible look is the
 worst failure mode this package has.  Latin triangles have no engine
@@ -13,12 +14,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Mapping
 
 from . import __version__ as ENGINE_VERSION
 from . import oracle, umbra
-from .dp import BoardShape, rectangle, trapezoid3, weight_series
+from .dp import BoardShape, rectangle, trapezoid3, weight_snapshots
+from .poly import WeightPolynomial
 from .tiles import ShiftSpec, dump_tiles, enumerate_tiles
 
 GEN_DER = "gen-der"
@@ -100,6 +102,8 @@ class SequenceRecord:
     provenance: str
     engine_version: str
     duration_seconds: float
+    #: P_n for n <= JobSpec.series_to from the same sweep; not serialised
+    series: dict[int, WeightPolynomial] = field(default_factory=dict, compare=False)
 
     @property
     def last_n(self) -> int:
@@ -149,17 +153,8 @@ class JobSpec:
     n_terms: int = 10
     oracle_depth: int | None = None
     total: bool = False
-
-
-def _check_oracle(
-    n: int, engine_value: int, oracle_value: int, context: str, diagnostics: str
-) -> None:
-    if engine_value != oracle_value:
-        raise OracleMismatchError(
-            f"engine/oracle mismatch at n={n} for {context}: "
-            f"engine={engine_value} oracle={oracle_value}",
-            diagnostics,
-        )
+    #: also hand back P_n for n <= this in SequenceRecord.series
+    series_to: int | None = None
 
 
 def run_family(
@@ -167,9 +162,12 @@ def run_family(
     params: Mapping[str, Iterable[int]],
     n_terms: int,
     oracle_depth: int | None = None,
+    series_to: int | None = None,
 ) -> SequenceRecord:
     """Terms n = first_n .. first_n+n_terms-1 of one engine family,
-    the prefix through oracle_depth checked against the oracle."""
+    the prefix through oracle_depth checked against the oracle.  Each
+    P_n is evaluated and checked as the sweep yields it, then dropped
+    unless n <= series_to (the sweep runs on to series_to if needed)."""
     t0 = time.perf_counter()
     depth = family.default_depth if oracle_depth is None else oracle_depth
     if depth > family.oracle_cap:
@@ -181,17 +179,24 @@ def run_family(
     spec = family.spec(params)
     tiles = enumerate_tiles(spec)
     n_max = family.first_n + n_terms - 1
-    table = weight_series(tiles, family.board, n_max)
-    terms = [
-        umbra.umbral_eval(family.umbral, table.poly(n), n)
-        for n in range(family.first_n, n_max + 1)
-    ]
-    for n in range(family.first_n, min(depth, n_max) + 1):
-        _check_oracle(
-            n, terms[n - family.first_n], family.oracle(spec, n),
-            f"{family.name} {spec.describe()}",
-            f"tiles:\n{dump_tiles(tiles)}\nP_{n} = {table.poly(n).canonical_str()}",
-        )
+    keep = -1 if series_to is None else series_to
+    terms: list[int] = []
+    series: dict[int, WeightPolynomial] = {}
+    for n, p in weight_snapshots(tiles, family.board, max(n_max, keep)):
+        if n <= keep:
+            series[n] = p
+        if not family.first_n <= n <= n_max:
+            continue
+        term = umbra.umbral_eval(family.umbral, p, n)
+        terms.append(term)
+        if n <= depth:
+            want = family.oracle(spec, n)
+            if term != want:
+                raise OracleMismatchError(
+                    f"engine/oracle mismatch at n={n} for {family.name} "
+                    f"{spec.describe()}: engine={term} oracle={want}",
+                    f"tiles:\n{dump_tiles(tiles)}\nP_{n} = {p.canonical_str()}",
+                )
     return SequenceRecord(
         family=family.name,
         params=params,
@@ -201,6 +206,7 @@ def run_family(
         provenance="engine",
         engine_version=ENGINE_VERSION,
         duration_seconds=time.perf_counter() - t0,
+        series=series,
     )
 
 
@@ -255,16 +261,7 @@ def apply_total(record: SequenceRecord) -> SequenceRecord:
     if not record.reduced:
         return record
     terms = [t * math.factorial(n) for n, t in record.indexed_terms()]
-    return SequenceRecord(
-        family=record.family,
-        params=record.params,
-        offset=record.offset,
-        terms=terms,
-        reduced=False,
-        provenance=record.provenance,
-        engine_version=record.engine_version,
-        duration_seconds=record.duration_seconds,
-    )
+    return replace(record, terms=terms, reduced=False)
 
 
 def run_job(job: JobSpec) -> SequenceRecord:
@@ -273,7 +270,8 @@ def run_job(job: JobSpec) -> SequenceRecord:
     if job.family == TRIANGLE:
         rec = triangle_seq(job.n_terms)
     elif job.family in FAMILIES:
-        rec = run_family(FAMILIES[job.family], job.params, job.n_terms, job.oracle_depth)
+        rec = run_family(FAMILIES[job.family], job.params, job.n_terms,
+                         job.oracle_depth, job.series_to)
     else:
         raise ValueError(f"unknown family {job.family!r}")
     return apply_total(rec) if job.total else rec

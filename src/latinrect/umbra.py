@@ -12,15 +12,17 @@ which is a linear operation with a closed form per board family:
                                    ->  C(n-a1, a23) * a23! * (a2+1)! * (a3+2)!/2!
 
 In the two-row case x counts free bottom-row cells; k of them take
-the remaining k labels in any order.  In the three-row rectangle a1
-counts labels committed by tiles touching row 0, a23 counts tiles
-pairing rows 1 and 2 (their shared label is chosen among the n-a1
-uncommitted ones, in order, hence the binomial times a23!), and the
-a2 free row-1 cells and a3 free row-2 cells take their leftover
-labels independently.  The trapezoid rows 1 and 2 are short by one
+the remaining k labels in any order; the sum of c_k * k! is taken in
+Horner form c_0 + 1*(c_1 + 2*(c_2 + ...)), big times small integers
+only.  In the three-row rectangle a1 counts labels committed by tiles
+touching row 0, a23 counts tiles pairing rows 1 and 2 (their shared
+label is chosen among the n-a1 uncommitted ones, in order, hence the
+binomial times a23!), and the a2 free row-1 cells and a3 free row-2
+cells take their leftover labels independently.  The trapezoid rows 1 and 2 are short by one
 and two cells, which leaves one and two extra labels: the falling
-factorials (a2+1)!/1! and (a3+2)!/2! replace a2! and a3!.  That
-derivation is spelled out in docs/trapezoid_operator.md.
+factorials (a2+1)!/1! and (a3+2)!/2! replace a2! and a3!, so both
+three-row operators are one loop over the row shortfalls (0, 0) or
+(1, 2).  That derivation is spelled out in docs/trapezoid_operator.md.
 """
 
 from __future__ import annotations
@@ -60,28 +62,19 @@ def binomial(m: int, j: int) -> int:
 def umbral_eval_2row(p: WeightPolynomial) -> int:
     if p.ring != RING_2ROW:
         raise RingMismatchError(f"expected ring {RING_2ROW.variables!r}")
-    if p.is_zero():
-        return 0
-    fact = factorial_table(p.degree("x"))
-    return sum(c * fact[e[0]] for e, c in p._terms.items())
+    coeff = p._terms
+    acc = 0
+    for k in range(p.degree("x"), 0, -1):
+        acc = (acc + coeff.get((k,), 0)) * k
+    return acc + coeff.get((0,), 0)
 
 
-def umbral_eval_3row(p: WeightPolynomial, n: int) -> int:
+def _umbral_eval_3(p: WeightPolynomial, n: int, s2: int, s3: int) -> int:
+    """The 3-row operator on a board whose rows 1 and 2 are s2 and s3
+    cells short of n."""
     if p.ring != RING_3ROW:
         raise RingMismatchError(f"expected ring {RING_3ROW.variables!r}")
-    fact = factorial_table(max(n, 0))
-    total = 0
-    for (a1, a2, a3, a23), c in p._terms.items():
-        if a23 > n - a1:
-            continue
-        total += c * binomial(n - a1, a23) * fact[a23] * fact[a2] * fact[a3]
-    return total
-
-
-def umbral_eval_trapezoid(p: WeightPolynomial, n: int) -> int:
-    if p.ring != RING_3ROW:
-        raise RingMismatchError(f"expected ring {RING_3ROW.variables!r}")
-    fact = factorial_table(max(n + 2, 0))
+    fact = factorial_table(max(n + s3, 0))
     total = 0
     for (a1, a2, a3, a23), c in p._terms.items():
         if a23 > n - a1:
@@ -90,10 +83,18 @@ def umbral_eval_trapezoid(p: WeightPolynomial, n: int) -> int:
             c
             * binomial(n - a1, a23)
             * fact[a23]
-            * fact[a2 + 1]
-            * (fact[a3 + 2] // 2)
+            * (fact[a2 + s2] // fact[s2])
+            * (fact[a3 + s3] // fact[s3])
         )
     return total
+
+
+def umbral_eval_3row(p: WeightPolynomial, n: int) -> int:
+    return _umbral_eval_3(p, n, 0, 0)
+
+
+def umbral_eval_trapezoid(p: WeightPolynomial, n: int) -> int:
+    return _umbral_eval_3(p, n, 1, 2)
 
 
 def umbral_eval(kind: UmbralKind, p: WeightPolynomial, n: int) -> int:

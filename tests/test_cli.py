@@ -9,6 +9,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
+import latinrect.dp as dpmod
 import latinrect.sequences as seqmod
 from latinrect.cli import (
     EXIT_OEIS_MISMATCH,
@@ -69,6 +70,24 @@ class TestGenDer:
         assert r.stdout == "1 0\n2 1\n3 2\n"
         assert "(0,0)+(0,1) coeff=-1 weight=1" in r.stderr
         assert "P_2 = x^2 - 2*x + 1" in r.stderr
+
+    def test_dump_series_reuses_the_job_sweep(self, runner, monkeypatch):
+        columns = []
+        advance = dpmod._Sweep.advance
+
+        def counted(self, dist, blocked, **kwargs):
+            columns.append(blocked)
+            return advance(self, dist, blocked, **kwargs)
+
+        monkeypatch.setattr(dpmod._Sweep, "advance", counted)
+        r = invoke(runner, "gen-der", "--shifts", "0,1", "-N", "30", "--dump-series", "8")
+        assert len(columns) == 30
+        assert r.stderr.count("P_") == 9  # P_0 .. P_8
+        columns.clear()
+        r = invoke(runner, "gen-der", "--shifts", "0,1", "-N", "3", "--dump-series", "8")
+        assert len(columns) == 8  # swept on for the dump, terms stop at N
+        assert r.stdout == "1 0\n2 0\n3 1\n"
+        assert "P_8 = " in r.stderr
 
     def test_bad_shift_string_usage_error(self, runner):
         r = invoke(runner, "gen-der", "--shifts", "zebra", "-N", "3")

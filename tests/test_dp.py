@@ -6,24 +6,66 @@ umbral evaluation happens."""
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
+from typing import Sequence
 
 import pytest
 
+import latinrect.dp as dpmod
 from latinrect.dp import (
-    DPProfile,
     SeriesTable,
     BoardShape,
     kernel2,
-    profile_successors,
     rectangle,
     trapezoid3,
     weight_series,
 )
 from latinrect.oracle import weighted_tiling_sum
 from latinrect.poly import RING_2ROW, RING_KERNEL, WeightPolynomial
-from latinrect.tiles import ShiftSpec, enumerate_tiles, ring_for, tile_monomial
+from latinrect.tiles import ShiftSpec, Tile, enumerate_tiles, ring_for, tile_monomial
 
 X = RING_2ROW.var("x")
+
+
+@dataclass(frozen=True)
+class DPProfile:
+    """Sweep state: covered-ahead mask plus the row phase in the column."""
+
+    mask: int
+    phase: int
+
+
+def profile_successors(
+    profile: DPProfile,
+    tiles: Sequence[Tile],
+    board: BoardShape,
+    column: int,
+    n: int | None = None,
+) -> list[tuple[DPProfile, Tile | None]]:
+    """Single-cell step of the sweep, in plain objects: the reference
+    the replays below check the engine against.  n=None means an
+    unbounded board (every cell in-board).  The engine's column tables
+    fold k of these steps."""
+    k = board.rows
+    r = profile.phase
+    nxt = (r + 1) % k
+    in_board = True if n is None else column < board.row_length(r, n)
+    if not in_board:
+        if profile.mask & 1:
+            return []
+        return [(DPProfile(profile.mask >> 1, nxt), None)]
+    if profile.mask & 1:
+        return [(DPProfile(profile.mask >> 1, nxt), None)]
+    out: list[tuple[DPProfile, Tile | None]] = []
+    for tile in tiles:
+        if tile.anchor_row != r:
+            continue
+        bits = 0
+        for dx, row in tile.cells:
+            bits |= 1 << (dx * k + row - r)
+        if profile.mask & bits == 0:
+            out.append((DPProfile((profile.mask | bits) >> 1, nxt), tile))
+    return out
 
 
 def replay_series(spec: ShiftSpec, n: int) -> WeightPolynomial:
@@ -92,6 +134,41 @@ class TestSeriesTable:
         with pytest.raises(IndexError):
             table.poly(5)
         assert [n for n, _ in table] == [0, 1, 2, 3, 4]
+
+
+class TestUnpack:
+    def test_fast_unpack_matches_validating_constructor(self, monkeypatch):
+        """unpack skips WeightPolynomial's per-term check; every packed
+        snapshot of a 2-row, 3-row and mirrored trapezoid sweep must
+        still give the polynomial the checking constructor builds."""
+        real = dpmod._Sweep.unpack
+        seen = []
+
+        def checked(self, packed):
+            fast = real(self, packed)
+            nv = self.ring.nvars
+            lane = (1 << dpmod.PACK_BITS) - 1
+            terms = {
+                tuple((m >> (dpmod.PACK_BITS * i)) & lane for i in range(nv)): c
+                for m, c in packed.items()
+            }
+            slow = WeightPolynomial(self.ring, terms)
+            assert fast == slow and hash(fast) == hash(slow)
+            assert fast.terms() == slow.terms()
+            assert all(c != 0 for _, c in fast.terms())
+            seen.append(self.ring.nvars)
+            return fast
+
+        monkeypatch.setattr(dpmod._Sweep, "unpack", checked)
+        cases = [
+            (ShiftSpec.two_rows({-2, 0, 1}), rectangle(2), 9),
+            (ShiftSpec.three_rows({0, 1}, {0}, {-1}), rectangle(3), 5),
+            (ShiftSpec.three_rows({0, -1}, {0, -2}, {0, -1}), trapezoid3(), 6),
+            (ShiftSpec.three_rows({1, 2}, {-1}, {0, 2}), trapezoid3(), 5),
+        ]
+        for spec, board, n_max in cases:
+            weight_series(enumerate_tiles(spec), board, n_max)
+        assert seen.count(1) == 9 and seen.count(4) == 5 + 4 + 3
 
 
 class TestTwoRowSweep:

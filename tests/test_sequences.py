@@ -5,15 +5,19 @@ corrupt the evaluator to prove a mismatch cannot pass silently."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import pytest
 
 import latinrect.sequences as seqmod
-from latinrect.oracle import OracleLimitError
+from latinrect.dp import weight_series
+from latinrect.oracle import OracleLimitError, count_generalized_perms_banded
 from latinrect.sequences import (
+    FAMILIES,
     GEN_DER,
     GLR3,
     TRAPEZOID,
+    TRAPEZOID_SPEC,
     TRIANGLE,
     JobSpec,
     OracleMismatchError,
@@ -21,10 +25,12 @@ from latinrect.sequences import (
     apply_total,
     gen_der_seq,
     glr3_seq,
+    run_family,
     run_job,
     trapezoid_seq,
     triangle_seq,
 )
+from latinrect.tiles import enumerate_tiles
 
 MENAGE = [0, 0, 1, 3, 16, 96, 675, 5413, 48800, 488592]
 
@@ -168,3 +174,66 @@ class TestRunJob:
     def test_zero_terms_rejected(self):
         with pytest.raises(ValueError):
             run_job(JobSpec(GEN_DER, {"shifts": [0]}, 0))
+
+
+class TestStreaming:
+    @pytest.mark.parametrize("name,params,n_terms", [
+        (GEN_DER, {"shifts": [-2, 0, 1]}, 14),
+        (GLR3, {"s12": [0, 1], "s13": [], "s23": [-1]}, 6),
+        (TRAPEZOID, {}, 6),
+    ])
+    def test_terms_match_series_table(self, name, params, n_terms):
+        family = FAMILIES[name]
+        rec = run_family(family, params, n_terms, oracle_depth=0)
+        spec = family.spec({k: sorted(v) for k, v in params.items()})
+        table = weight_series(enumerate_tiles(spec), family.board, rec.last_n)
+        want = [seqmod.umbra.umbral_eval(family.umbral, table.poly(n), n)
+                for n in range(rec.offset, rec.last_n + 1)]
+        assert rec.terms == want
+
+    def test_series_handed_back(self):
+        family = FAMILIES[TRAPEZOID]
+        table = weight_series(enumerate_tiles(TRAPEZOID_SPEC), family.board, 9)
+        short = run_job(JobSpec(TRAPEZOID, {}, 2, series_to=9))
+        assert short.terms == [1, 6]  # swept on to n=9, terms stop at N
+        assert list(short.series) == list(range(3, 10))
+        assert all(short.series[n] == table.poly(n) for n in short.series)
+        assert run_job(JobSpec(TRAPEZOID, {}, 4, series_to=2)).series == {}
+        rec = run_job(JobSpec(GEN_DER, {"shifts": [0]}, 5, series_to=3))
+        assert list(rec.series) == [0, 1, 2, 3]
+        assert "series" not in rec.to_json_dict()
+        assert run_job(JobSpec(GEN_DER, {"shifts": [0]}, 5)).series == {}
+
+    def test_mismatch_raised_before_the_sweep_ends(self, monkeypatch):
+        evaluated = []
+        true_eval = seqmod.umbra.umbral_eval_2row
+
+        def corrupted(p):
+            evaluated.append(p)
+            return true_eval(p) + 1
+
+        monkeypatch.setattr(seqmod.umbra, "umbral_eval_2row", corrupted)
+        with pytest.raises(OracleMismatchError) as exc:
+            gen_der_seq({0, 1}, 200)
+        assert len(evaluated) == 1
+        assert "P_1 = " in exc.value.diagnostics
+
+    def test_memory_stays_flat(self):
+        # all P_n kept at once peaked at 22.7 MB; one at a time, 0.4 MB
+        tracemalloc.start()
+        try:
+            gen_der_seq([0, 1], 400, oracle_depth=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1024 * 1024
+
+    @pytest.mark.parametrize("shifts,ns", [
+        ([0, 1], (100, 200, 300)),
+        ([-2, 0, 1], (50, 150)),
+    ])
+    def test_deep_terms_vs_rook_polynomial(self, shifts, ns):
+        # far past the brute-force cap: the banded rook DP is independent
+        rec = gen_der_seq(shifts, max(ns), oracle_depth=0)
+        for n in ns:
+            assert rec.term(n) == count_generalized_perms_banded(shifts, n)

@@ -79,6 +79,56 @@ class TestThreeRow:
         assert umbral_eval_3row(X1 * X23, 4) != umbral_eval_3row(X1 * X23, 9)
 
 
+class TestHorner:
+    """The Horner form of the 2-row operator against the plain sum of
+    c_k * k!."""
+
+    @staticmethod
+    def plain(p):
+        return sum(c * math.factorial(k) for (k,), c in p.terms())
+
+    def test_zero_and_constants(self):
+        assert umbral_eval_2row(RING_2ROW.zero()) == 0
+        for c in (1, -1, 7, -(1 << 300)):
+            assert umbral_eval_2row(RING_2ROW.const(c)) == c
+
+    def test_missing_degrees(self):
+        for exps in ({5: 3}, {0: 2, 7: -1}, {1: 1, 4: 9, 9: -5}, {30: 1, 2: 4}):
+            p = RING_2ROW.poly({(k,): c for k, c in exps.items()})
+            assert umbral_eval_2row(p) == self.plain(p)
+
+    def test_random_big_coefficients(self):
+        rng = random.Random(6047)
+        for _ in range(20):
+            deg = rng.randrange(1, 120)
+            terms = {}
+            for k in range(deg + 1):
+                if rng.random() < 0.7:
+                    bits = rng.randrange(200, 700)
+                    terms[(k,)] = rng.choice((1, -1)) * rng.getrandbits(bits)
+            p = RING_2ROW.poly(terms)
+            assert umbral_eval_2row(p) == self.plain(p)
+
+
+class TestThreeRowShortfalls:
+    """The shared 3-row loop against each operator's closed form,
+    written out separately here."""
+
+    def test_random_polys(self):
+        rng = random.Random(414)
+        f = math.factorial
+        for _ in range(40):
+            p = rand_poly(RING_3ROW, rng, deg=4, terms=6)
+            n = rng.randrange(4, 9)  # no exponent past n, the operators' domain
+            rect = trap = 0
+            for (a1, a2, a3, a23), c in p.terms():
+                ways = binomial(n - a1, a23) * f(a23) if a23 <= n - a1 else 0
+                rect += c * ways * f(a2) * f(a3)
+                trap += c * ways * f(a2 + 1) * f(a3 + 2) // 2
+            assert umbral_eval_3row(p, n) == rect
+            assert umbral_eval_trapezoid(p, n) == trap
+
+
 class TestTrapezoid:
     def test_monomial_images(self):
         # x3^a3 picks up (a3+2)!/2!: row 2 is two cells shorter
