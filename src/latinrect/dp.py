@@ -23,9 +23,43 @@ weight_snapshots yields the snapshots one at a time: a caller that
 turns each P_n into a count and drops it holds one column's profiles
 and one unpacked P_n, however long the run.
 
-Inside the sweep a monomial lives in a single integer, 16 bits per
-variable, so multiplying by a tile weight is one add; exponents are
-unpacked into tuples only when a snapshot is taken.
+Each profile holds its polynomial as a dict from an integer key to an
+integer value.  In the 2-row ring the key is the x exponent and the
+value the coefficient.  The 3-row sweep keeps the exponents a1 and
+a23 of x1^a1 x2^a2 x3^a3 x23^a23, but in place of a2 and a3 it counts
+tile incidences: k_r is the number of row-r cells (r = 1, 2) covered
+by tiles weighted neither x23 nor x2 (row 1) or x3 (row 2).  For the
+tiles.py alphabet:
+  - a multi-cell tile touching row 0 adds 1 to a1, and 1 to k_r for
+    each row r in {1, 2} it touches;
+  - a tile on rows {1, 2} adds 1 to a23;
+  - singletons add nothing.
+At a snapshot the profile is empty and every in-board cell is covered
+exactly once, so a_r = (cells swept in row r) - a23 - k_r.  That
+holds for any tiles whose x2, x3 and x23 weights sit on tiles with a
+cell on the rows they name, which _Sweep checks.
+
+The key holds a1 and a23 in 16-bit lanes.  The value packs every
+(k1, k2) of that key into one integer (Kronecker substitution):
+sum of c * 2^(B*(k1 + (n_max+1)*k2)), with signed digits c.  A column
+table row is then a key delta kd, a slot delta sd and a coefficient
+cf, and applying it to (key, v) is key + kd and cf * (v << sd*B): a
+few C-level big-integer operations in place of one Python step per
+monomial.  Since k1 <= n_max, distinct (k1, k2) get distinct slots.
+
+The slot width B is a proven bound.  A coefficient of profile m after
+c columns is a sum, over paths of column-table rows from the empty
+profile, of the products of their cf, so its absolute value is at
+most beta_c(m), where beta_0 is 1 at the empty profile and
+beta_{c+1}(m2) = sum of |cf| * beta_c(m) over table rows m -> m2.
+With 2^(B-1) > max beta over all columns and profiles, every digit
+satisfies |c| < 2^(B-1), and such signed digits are unique for a
+given integer.  So B is one sign bit over the bit length of that
+maximum, rounded up to whole bytes.  unpack decodes the empty profile
+only: adding 2^(B-1) to every slot and xor-ing it back turns the
+signed digits into B-bit two's complement; bytes.translate and
+bytes.find then skip the zero slots in C, so Python touches only the
+nonzero terms.
 
 The same column-transition table, read symbolically, gives the 2-row
 transfer system (I - X*T) G = e_empty over Z[x][[X]]; solving it
@@ -122,50 +156,79 @@ class SeriesTable:
 
 
 class _Sweep:
-    """Shared machinery: packed tile ops and cached column tables."""
+    """Shared machinery: tile ops, cached column tables and, for three
+    rows, the slot width of the packed coefficients."""
 
-    def __init__(self, tiles: Sequence[Tile], board: BoardShape):
+    def __init__(self, tiles: Sequence[Tile], board: BoardShape, n_max: int = 0):
         self.k = board.rows
         self.ring = ring_for(board.rows)
-        ops: list[list[tuple[int, int, int]]] = [[] for _ in range(self.k)]
+        #: slot stride of k2, and cells swept so far in each row
+        self.stride = n_max + 1
+        self.swept = [0] * board.rows
+        ops: list[list[tuple[int, int, int, int]]] = [[] for _ in range(self.k)]
         for t in tiles:
             bits = 0
             for dx, row in t.cells:
                 bits |= 1 << (dx * self.k + row - t.anchor_row)
-            if t.weight == UNIT_WEIGHT:
-                delta = 0
-            else:
-                delta = 1 << (PACK_BITS * self.ring.index(t.weight))
-            ops[t.anchor_row].append((bits, delta, t.coefficient))
+            if t.weight != UNIT_WEIGHT:
+                self.ring.index(t.weight)  # an unknown tag raises
+            kd = {"x": 1, "x1": 1, "x23": 1 << PACK_BITS}.get(t.weight, 0)
+            sd = 0
+            if self.k == 3:
+                rows = [row for _, row in t.cells]
+                k1 = rows.count(1) - (t.weight in ("x2", "x23"))
+                k2 = rows.count(2) - (t.weight in ("x3", "x23"))
+                if k1 < 0 or k2 < 0:
+                    raise ValueError(f"weight {t.weight} names a row tile {t.cells} misses")
+                sd = k1 + self.stride * k2
+            ops[t.anchor_row].append((bits, kd, sd, t.coefficient))
         self.ops_by_row = ops
-        self._tables: dict[tuple[int, tuple[bool, ...]], list[tuple[int, int, int]]] = {}
+        self._tables: dict[tuple[int, tuple[bool, ...]], list[tuple[int, int, int, int]]] = {}
+        self.bits = self._slot_bits(board, n_max) if self.k == 3 else 0
+
+    def _slot_bits(self, board: BoardShape, n_max: int) -> int:
+        """Slot width B: one sign bit over the largest column-by-column
+        bound on the absolute coefficients of any profile."""
+        bound = {0: 1}
+        top = 1
+        for column in range(n_max):
+            blocked = board.blocked_flags(column)
+            nxt: dict[int, int] = {}
+            for mask, b in bound.items():
+                for m2, _, _, cf in self.column_table(mask, blocked):
+                    nxt[m2] = nxt.get(m2, 0) + abs(cf) * b
+            bound = nxt
+            top = max(top, max(bound.values(), default=0))
+        # a sign bit, then whole bytes so unpack can slice the digits
+        return -(-(top.bit_length() + 1) // 8) * 8
 
     def column_table(
         self, mask0: int, blocked: tuple[bool, ...]
-    ) -> list[tuple[int, int, int]]:
+    ) -> list[tuple[int, int, int, int]]:
+        """(next profile, key delta, slot delta, coefficient) rows."""
         key = (mask0, blocked)
         hit = self._tables.get(key)
         if hit is not None:
             return hit
-        acc: dict[tuple[int, int], int] = {}
-        stack = [(0, mask0, 0, 1)]
+        acc: dict[tuple[int, int, int], int] = {}
+        stack = [(0, mask0, 0, 0, 1)]
         while stack:
-            r, mask, delta, coeff = stack.pop()
+            r, mask, kd, sd, coeff = stack.pop()
             if r == self.k:
-                kk = (mask, delta)
+                kk = (mask, kd, sd)
                 acc[kk] = acc.get(kk, 0) + coeff
                 continue
             if blocked[r]:
                 if not mask & 1:
-                    stack.append((r + 1, mask >> 1, delta, coeff))
+                    stack.append((r + 1, mask >> 1, kd, sd, coeff))
                 continue
             if mask & 1:
-                stack.append((r + 1, mask >> 1, delta, coeff))
+                stack.append((r + 1, mask >> 1, kd, sd, coeff))
                 continue
-            for bits, d, c in self.ops_by_row[r]:
+            for bits, k, s, c in self.ops_by_row[r]:
                 if mask & bits == 0:
-                    stack.append((r + 1, (mask | bits) >> 1, delta + d, coeff * c))
-        table = [(m, d, c) for (m, d), c in acc.items() if c != 0]
+                    stack.append((r + 1, (mask | bits) >> 1, kd + k, sd + s, coeff * c))
+        table = [(m, k, s, c) for (m, k, s), c in acc.items() if c != 0]
         self._tables[key] = table
         return table
 
@@ -175,23 +238,38 @@ class _Sweep:
         blocked: tuple[bool, ...],
         empty_only: bool = False,
     ) -> dict[int, dict[int, int]]:
-        """One column; with empty_only, only the empty profile is kept."""
+        """One column; with empty_only, only the empty profile is kept.
+        Also counts the column's open cells in self.swept."""
+        for r, b in enumerate(blocked):
+            self.swept[r] += not b
+        bits = self.bits
         ndist: dict[int, dict[int, int]] = {}
         for mask, poly in dist.items():
-            for m2, delta, cf in self.column_table(mask, blocked):
+            items = poly.items()
+            for m2, kd, sd, cf in self.column_table(mask, blocked):
                 if m2 and empty_only:
                     continue
                 tgt = ndist.get(m2)
                 if tgt is None:
                     tgt = ndist[m2] = {}
                 get = tgt.get
-                if cf == 1:
-                    for mono, v in poly.items():
-                        key = mono + delta
+                if sd:
+                    sh = sd * bits
+                    if cf == 1:
+                        for key, v in items:
+                            key += kd
+                            tgt[key] = get(key, 0) + (v << sh)
+                    else:
+                        for key, v in items:
+                            key += kd
+                            tgt[key] = get(key, 0) + cf * (v << sh)
+                elif cf == 1:
+                    for key, v in items:
+                        key += kd
                         tgt[key] = get(key, 0) + v
                 else:
-                    for mono, v in poly.items():
-                        key = mono + delta
+                    for key, v in items:
+                        key += kd
                         tgt[key] = get(key, 0) + cf * v
         for m2 in list(ndist):
             bucket = ndist[m2]
@@ -203,19 +281,48 @@ class _Sweep:
         return ndist
 
     def unpack(self, packed: dict[int, int]) -> WeightPolynomial:
-        """Exponent tuples for packed keys; advance drops zeros and the
-        lanes are masked, so the terms need no re-validation."""
-        nv = self.ring.nvars
-        if nv == 1:
-            terms = {(mono,): c for mono, c in packed.items()}
-        else:
-            lane = (1 << PACK_BITS) - 1
-            shifts = range(0, PACK_BITS * nv, PACK_BITS)
-            terms = {
-                tuple((mono >> s) & lane for s in shifts): c
-                for mono, c in packed.items()
-            }
+        """The polynomial of a snapshot's empty profile.  advance drops
+        zeros and the exponents are non-negative by exact cover, so the
+        terms need no re-validation."""
+        if self.k == 2:
+            return WeightPolynomial.trusted(
+                self.ring, {(x,): c for x, c in packed.items()}
+            )
+        lane = (1 << PACK_BITS) - 1
+        _, cells1, cells2 = self.swept
+        terms = {}
+        for key, v in packed.items():
+            a1, a23 = key & lane, key >> PACK_BITS
+            row1, row2 = cells1 - a23, cells2 - a23
+            for slot, c in balanced_digits(v, self.bits):
+                k2, k1 = divmod(slot, self.stride)
+                terms[a1, row1 - k1, row2 - k2, a23] = c
         return WeightPolynomial.trusted(self.ring, terms)
+
+
+_NONZERO = bytes([0] + [1] * 255)
+
+
+def balanced_digits(v: int, bits: int) -> list[tuple[int, int]]:
+    """(s, d_s) for each nonzero digit of v = sum_s d_s * 2^(bits*s),
+    where |d_s| < 2^(bits-1) and bits is a multiple of 8.  The bulk
+    work is done by C-level int and bytes operations; Python touches
+    only the nonzero digits."""
+    step = bits // 8
+    slots = abs(v).bit_length() // bits + 1
+    half = int.from_bytes((bytes(step - 1) + b"\x80") * slots, "little")
+    # slot by slot, v + half holds d_s + 2^(bits-1) in [1, 2^bits); the
+    # xor turns it into d_s in two's complement, zero exactly when d_s is
+    raw = ((v + half) ^ half).to_bytes(step * slots, "little")
+    seen = raw.translate(_NONZERO)
+    out = []
+    at = seen.find(1)
+    while at >= 0:
+        start = at - at % step
+        end = start + step
+        out.append((start // step, int.from_bytes(raw[start:end], "little", signed=True)))
+        at = seen.find(1, end)
+    return out
 
 
 def weight_snapshots(
@@ -241,7 +348,7 @@ def weight_snapshots(
                  t.coefficient, t.weight)
             for t in tiles
         ]
-    sweep = _Sweep(tiles, board)
+    sweep = _Sweep(tiles, board, n_max)
     dist: dict[int, dict[int, int]] = {0: {0: 1}}
     if board.min_n == 0:
         yield 0, sweep.ring.one()
@@ -279,7 +386,7 @@ def kernel2(shifts: Iterable[int]) -> RationalKernel:
     while at < len(order):
         mask = order[at]
         row: list[tuple[int, int, int]] = []
-        for m2, delta, cf in sweep.column_table(mask, open_col):
+        for m2, delta, _, cf in sweep.column_table(mask, open_col):
             if m2 not in index:
                 index[m2] = len(order)
                 order.append(m2)

@@ -71,12 +71,17 @@ def umbral_eval_2row(p: WeightPolynomial) -> int:
 
 def _umbral_eval_3(p: WeightPolynomial, n: int, s2: int, s3: int) -> int:
     """The 3-row operator on a board whose rows 1 and 2 are s2 and s3
-    cells short of n."""
+    cells short of n; its domain is x2 and x3 exponents at most n."""
     if p.ring != RING_3ROW:
         raise RingMismatchError(f"expected ring {RING_3ROW.variables!r}")
     fact = factorial_table(max(n + s3, 0))
     total = 0
     for (a1, a2, a3, a23), c in p._terms.items():
+        if a2 > n or a3 > n:
+            raise ValueError(
+                f"the 3-row operator at n={n} takes x2 and x3 exponents up to n,"
+                f" got x2^{a2}*x3^{a3}"
+            )
         if a23 > n - a1:
             continue
         total += (

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import pytest
 
@@ -15,14 +15,23 @@ import latinrect.dp as dpmod
 from latinrect.dp import (
     SeriesTable,
     BoardShape,
+    balanced_digits,
     kernel2,
     rectangle,
     trapezoid3,
     weight_series,
+    weight_snapshots,
 )
 from latinrect.oracle import weighted_tiling_sum
 from latinrect.poly import RING_2ROW, RING_KERNEL, WeightPolynomial
-from latinrect.tiles import ShiftSpec, Tile, enumerate_tiles, ring_for, tile_monomial
+from latinrect.tiles import (
+    UNIT_WEIGHT,
+    ShiftSpec,
+    Tile,
+    enumerate_tiles,
+    ring_for,
+    tile_monomial,
+)
 
 X = RING_2ROW.var("x")
 
@@ -102,6 +111,94 @@ def replay_trapezoid(n: int) -> WeightPolynomial:
     return dist.get(DPProfile(0, 0), ring.zero())
 
 
+LANE_BITS = 16
+
+
+class ReferenceSweep:
+    """The sweep with one dict entry per monomial, 16 bits per
+    variable in the key: the reference the packed engine is checked
+    against.  Same profiles and column tables, plain exponents."""
+
+    def __init__(self, tiles: Sequence[Tile], board: BoardShape):
+        self.k = board.rows
+        self.ring = ring_for(board.rows)
+        self.ops_by_row: list[list[tuple[int, int, int]]] = [[] for _ in range(self.k)]
+        for t in tiles:
+            bits = 0
+            for dx, row in t.cells:
+                bits |= 1 << (dx * self.k + row - t.anchor_row)
+            delta = 0
+            if t.weight != UNIT_WEIGHT:
+                delta = 1 << (LANE_BITS * self.ring.index(t.weight))
+            self.ops_by_row[t.anchor_row].append((bits, delta, t.coefficient))
+        self._tables: dict[tuple[int, tuple[bool, ...]], list[tuple[int, int, int]]] = {}
+
+    def column_table(self, mask0: int, blocked: tuple[bool, ...]) -> list[tuple[int, int, int]]:
+        key = (mask0, blocked)
+        if key in self._tables:
+            return self._tables[key]
+        acc: dict[tuple[int, int], int] = {}
+        stack = [(0, mask0, 0, 1)]
+        while stack:
+            r, mask, delta, coeff = stack.pop()
+            if r == self.k:
+                acc[mask, delta] = acc.get((mask, delta), 0) + coeff
+            elif blocked[r]:
+                if not mask & 1:
+                    stack.append((r + 1, mask >> 1, delta, coeff))
+            elif mask & 1:
+                stack.append((r + 1, mask >> 1, delta, coeff))
+            else:
+                for bits, d, c in self.ops_by_row[r]:
+                    if mask & bits == 0:
+                        stack.append((r + 1, (mask | bits) >> 1, delta + d, coeff * c))
+        table = [(m, d, c) for (m, d), c in acc.items() if c != 0]
+        self._tables[key] = table
+        return table
+
+    def advance(
+        self, dist: dict[int, dict[int, int]], blocked: tuple[bool, ...]
+    ) -> dict[int, dict[int, int]]:
+        ndist: dict[int, dict[int, int]] = {}
+        for mask, poly in dist.items():
+            for m2, delta, cf in self.column_table(mask, blocked):
+                tgt = ndist.setdefault(m2, {})
+                for mono, v in poly.items():
+                    tgt[mono + delta] = tgt.get(mono + delta, 0) + cf * v
+        return {
+            m: live
+            for m, bucket in ndist.items()
+            if (live := {mono: v for mono, v in bucket.items() if v})
+        }
+
+    def unpack(self, packed: dict[int, int]) -> WeightPolynomial:
+        lane = (1 << LANE_BITS) - 1
+        return WeightPolynomial(self.ring, {
+            tuple((mono >> (LANE_BITS * i)) & lane for i in range(self.ring.nvars)): c
+            for mono, c in packed.items()
+        })
+
+
+def reference_snapshots(
+    tiles: Sequence[Tile], board: BoardShape, n_max: int
+) -> Iterator[tuple[int, WeightPolynomial]]:
+    """weight_snapshots through ReferenceSweep, mirrored boards alike."""
+    if any(board.blocked_flags(0)):
+        tiles = [
+            Tile(tuple(sorted((t.width - 1 - dx, r) for dx, r in t.cells)),
+                 t.coefficient, t.weight)
+            for t in tiles
+        ]
+    sweep = ReferenceSweep(tiles, board)
+    dist = {0: {0: 1}}
+    if board.min_n == 0:
+        yield 0, sweep.ring.one()
+    for n in range(1, n_max + 1):
+        dist = sweep.advance(dist, board.blocked_flags(n - 1))
+        if n >= board.min_n:
+            yield n, sweep.unpack(dist.get(0, {}))
+
+
 class TestBoardShape:
     def test_rectangle(self):
         b = rectangle(2)
@@ -136,22 +233,41 @@ class TestSeriesTable:
         assert [n for n, _ in table] == [0, 1, 2, 3, 4]
 
 
+def slot_digits(v: int, bits: int) -> list[int]:
+    """Every balanced digit of v, lowest slot first, one at a time."""
+    out = []
+    while v:
+        d = v & ((1 << bits) - 1)
+        if d >= 1 << (bits - 1):
+            d -= 1 << bits
+        out.append(d)
+        v = (v - d) >> bits
+    return out
+
+
 class TestUnpack:
     def test_fast_unpack_matches_validating_constructor(self, monkeypatch):
-        """unpack skips WeightPolynomial's per-term check; every packed
-        snapshot of a 2-row, 3-row and mirrored trapezoid sweep must
-        still give the polynomial the checking constructor builds."""
+        """unpack finds the nonzero slots in bulk and skips
+        WeightPolynomial's per-term check; decoding every slot one by
+        one into the checking constructor must give the same
+        polynomial for each snapshot of a 2-row, 3-row and mirrored
+        trapezoid sweep."""
         real = dpmod._Sweep.unpack
         seen = []
 
         def checked(self, packed):
             fast = real(self, packed)
-            nv = self.ring.nvars
-            lane = (1 << dpmod.PACK_BITS) - 1
-            terms = {
-                tuple((m >> (dpmod.PACK_BITS * i)) & lane for i in range(nv)): c
-                for m, c in packed.items()
-            }
+            if self.k == 2:
+                terms = {(x,): c for x, c in packed.items()}
+            else:
+                lane = (1 << dpmod.PACK_BITS) - 1
+                _, cells1, cells2 = self.swept
+                terms = {}
+                for key, v in packed.items():
+                    a1, a23 = key & lane, key >> dpmod.PACK_BITS
+                    for slot, c in enumerate(slot_digits(v, self.bits)):
+                        k2, k1 = divmod(slot, self.stride)
+                        terms[a1, cells1 - a23 - k1, cells2 - a23 - k2, a23] = c
             slow = WeightPolynomial(self.ring, terms)
             assert fast == slow and hash(fast) == hash(slow)
             assert fast.terms() == slow.terms()
@@ -169,6 +285,140 @@ class TestUnpack:
         for spec, board, n_max in cases:
             weight_series(enumerate_tiles(spec), board, n_max)
         assert seen.count(1) == 9 and seen.count(4) == 5 + 4 + 3
+
+
+def random_three_row_specs(seed: int, count: int) -> list[ShiftSpec]:
+    rng = random.Random(seed)
+    return [
+        ShiftSpec.three_rows(
+            *({s for s in range(-2, 3) if rng.random() < 0.35} for _ in range(3))
+        )
+        for _ in range(count)
+    ]
+
+
+class TestPackedSweep:
+    """The packed 3-row engine against ReferenceSweep, snapshot by
+    snapshot."""
+
+    @staticmethod
+    def check(spec: ShiftSpec, board: BoardShape, n_max: int, tiles=None) -> None:
+        tiles = enumerate_tiles(spec) if tiles is None else tiles
+        got = list(weight_snapshots(tiles, board, n_max))
+        want = list(reference_snapshots(tiles, board, n_max))
+        assert [n for n, _ in got] == [n for n, _ in want]
+        for (n, p), (_, q) in zip(got, want):
+            assert p == q, (spec.describe(), board.kind, n)
+
+    def test_random_specs(self):
+        for spec in random_three_row_specs(2024, 20):
+            self.check(spec, rectangle(3), 6)
+            self.check(spec, trapezoid3(), 7)
+
+    def test_dense_spec_to_8(self):
+        self.check(ShiftSpec.three_rows({0, 2}, {-2, 1}, {0, -1}), rectangle(3), 8)
+        self.check(ShiftSpec.three_rows({0, -1}, {0, -2}, {0, -1}), trapezoid3(), 8)
+
+    def test_super_latin(self):
+        self.check(ShiftSpec.three_rows({-1, 0, 1}, {-2, 0, 2}, {-1, 0, 1}), rectangle(3), 10)
+
+    def test_latin(self):
+        self.check(ShiftSpec.three_rows({0}, {0}, {0}), rectangle(3), 25)
+
+    def test_free_board(self):
+        free = ShiftSpec.three_rows(set(), set(), set())
+        self.check(free, rectangle(3), 30)
+        self.check(free, trapezoid3(), 30)
+        x2, x3 = (ring_for(3).var(v) for v in ("x2", "x3"))
+        for n, p in weight_snapshots(enumerate_tiles(free), trapezoid3(), 12):
+            assert p == x2 ** (n - 1) * x3 ** (n - 2)
+
+    def test_other_weight_tags(self):
+        """Exact cover recovers x2 and x3 for any tags on tiles that
+        touch the rows they name, not only the tiles.py convention."""
+        rng = random.Random(4242)
+        for spec in random_three_row_specs(99, 8):
+            tiles = []
+            for t in enumerate_tiles(spec):
+                rows = {r for _, r in t.cells}
+                tags = [UNIT_WEIGHT, "x1"]
+                tags += ["x2"] * (1 in rows) + ["x3"] * (2 in rows)
+                tags += ["x23"] * (rows >= {1, 2})
+                tiles.append(Tile(t.cells, t.coefficient, rng.choice(tags)))
+            self.check(spec, rectangle(3), 5, tiles)
+            self.check(spec, trapezoid3(), 6, tiles)
+
+    def test_weight_on_a_missing_row_rejected(self):
+        for tile in (Tile(((0, 0),), 1, "x2"), Tile(((0, 0), (1, 1)), -1, "x3"),
+                     Tile(((0, 0), (0, 2)), -1, "x23")):
+            with pytest.raises(ValueError, match="names a row"):
+                list(weight_snapshots([tile], rectangle(3), 2))
+
+
+class TestSlotBound:
+    def test_slot_width_exceeds_every_coefficient(self, monkeypatch):
+        """B covers each snapshot coefficient with a bit to spare for
+        the sign, on the boards and specs the sweep actually ran."""
+        real = dpmod._Sweep.unpack
+        checked = []
+
+        def bounded(self, packed):
+            p = real(self, packed)
+            assert self.bits % 8 == 0
+            assert all(abs(c).bit_length() < self.bits for _, c in p.terms())
+            checked.append(len(p))
+            return p
+
+        monkeypatch.setattr(dpmod._Sweep, "unpack", bounded)
+        for spec in random_three_row_specs(77, 12):
+            weight_series(enumerate_tiles(spec), rectangle(3), 6)
+            weight_series(enumerate_tiles(spec), trapezoid3(), 6)
+        super_latin = ShiftSpec.three_rows({-1, 0, 1}, {-2, 0, 2}, {-1, 0, 1})
+        weight_series(enumerate_tiles(super_latin), rectangle(3), 9)
+        assert len(checked) == 12 * (6 + 4) + 9 and sum(checked) > 0
+
+
+class TestBalancedDigits:
+    @staticmethod
+    def pack(digits: dict[int, int], bits: int) -> int:
+        return sum(d << (bits * s) for s, d in digits.items())
+
+    def decode(self, digits: dict[int, int], bits: int) -> dict[int, int]:
+        got = balanced_digits(self.pack(digits, bits), bits)
+        assert len({s for s, _ in got}) == len(got)
+        return dict(got)
+
+    def test_zero(self):
+        for bits in (8, 16, 120):
+            assert balanced_digits(0, bits) == []
+
+    def test_negative_digit_below_zero_slots(self):
+        for bits in (8, 24):
+            for digits in ({0: -3}, {2: -1}, {0: 5, 1: -7, 4: 1}, {1: -1, 6: 2}):
+                assert self.decode(digits, bits) == digits
+
+    def test_negative_top_digit(self):
+        for bits in (8, 32):
+            for digits in ({0: 9, 3: -2}, {0: -1, 1: -1, 2: -1}, {5: -(1 << (bits - 1)) + 1}):
+                assert self.decode(digits, bits) == digits
+
+    def test_extreme_digits(self):
+        for bits in (8, 16, 56):
+            top = (1 << (bits - 1)) - 1
+            for digits in ({0: top, 1: -top}, {0: -top, 1: top, 2: -top}, {3: top}):
+                assert self.decode(digits, bits) == digits
+
+    def test_random_round_trip(self):
+        rng = random.Random(8080)
+        for _ in range(200):
+            bits = rng.choice((8, 16, 48, 112))
+            top = (1 << (bits - 1)) - 1
+            digits = {
+                s: rng.choice((-1, 1)) * rng.randint(1, top)
+                for s in range(rng.randrange(1, 60))
+                if rng.random() < 0.3
+            }
+            assert self.decode(digits, bits) == digits
 
 
 class TestTwoRowSweep:
@@ -285,3 +535,14 @@ class TestGuards:
         tiles = enumerate_tiles(ShiftSpec.two_rows({0}))
         with pytest.raises(ValueError):
             weight_series(tiles, rectangle(2), 1 << 16)
+
+    def test_lane_guard_raises_on_first_next(self):
+        # the guard fires before any sweep work, when the generator starts
+        for spec, board, n_max in (
+            (ShiftSpec.two_rows({0}), rectangle(2), 1 << 15),
+            (ShiftSpec.three_rows({0}, {0}, {0}), rectangle(3), (1 << 16) // 3 + 1),
+            (TestTrapezoidSweep.SPEC, trapezoid3(), 1 << 16),
+        ):
+            snapshots = weight_snapshots(enumerate_tiles(spec), board, n_max)
+            with pytest.raises(ValueError, match="overflows the packed exponent lanes"):
+                next(snapshots)

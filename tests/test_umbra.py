@@ -78,6 +78,16 @@ class TestThreeRow:
         assert umbral_eval_3row(X2**2 * X3, 4) == umbral_eval_3row(X2**2 * X3, 9)
         assert umbral_eval_3row(X1 * X23, 4) != umbral_eval_3row(X1 * X23, 9)
 
+    def test_exponent_past_n_rejected(self):
+        # x2 and x3 count free row cells, so no exponent exceeds n
+        for op in (umbral_eval_3row, umbral_eval_trapezoid):
+            for p in (X2**5, X3**3, X1 * X2 * X3**4 + X2):
+                with pytest.raises(ValueError, match="exponents up to n"):
+                    op(p, 2)
+        # exponents equal to n are still in the domain
+        assert umbral_eval_3row(X2**2 * X3**2, 2) == 2 * 2
+        assert umbral_eval_trapezoid(X2**2 * X3**2, 2) == 6 * 12  # 3!/1! * 4!/2!
+
 
 class TestHorner:
     """The Horner form of the 2-row operator against the plain sum of
