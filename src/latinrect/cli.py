@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -113,15 +112,15 @@ def _oeis(record: SequenceRecord, oeis_id: str | None, offline: bool) -> int:
     return EXIT_OEIS_UNVERIFIABLE
 
 
-def _run(job: JobSpec, fmt, output, oeis_id, offline, dump_tiles_flag, dump_series):
+def _run(job: JobSpec, total, fmt, output, oeis_id, offline, dump_tiles_flag=False):
     try:
-        reduced = run_job(replace(job, total=False, series_to=dump_series))
+        reduced = run_job(job)
     except OracleMismatchError as exc:
         click.echo(f"oracle mismatch: {exc}", err=True)
         sys.exit(EXIT_ORACLE_MISMATCH)
     except OracleLimitError as exc:
         raise click.UsageError(str(exc)) from None
-    record = apply_total(reduced) if job.total else reduced
+    record = apply_total(reduced) if total else reduced
     _dumps(record, dump_tiles_flag)
     _emit(_render(record, fmt), output)
     # catalog terms describe reduced counts; compare before the n! blowup
@@ -204,11 +203,10 @@ def main() -> None:
               help="number of terms (n = 1..N)")
 @_common
 @_engine_extras
-def gen_der_cmd(shifts, n_terms, fmt, output, oeis_id, offline, total,
-                oracle_depth, dump_tiles_flag, dump_series):
+def gen_der_cmd(shifts, n_terms, total, oracle_depth, dump_series, **opts):
     """Permutations of n with i - pi(i) outside the shift set."""
-    job = JobSpec(GEN_DER, {"shifts": list(shifts)}, n_terms, oracle_depth, total)
-    _run(job, fmt, output, oeis_id, offline, dump_tiles_flag, dump_series)
+    job = JobSpec(GEN_DER, {"shifts": list(shifts)}, n_terms, oracle_depth, dump_series)
+    _run(job, total, **opts)
 
 
 @main.command("glr3")
@@ -219,18 +217,11 @@ def gen_der_cmd(shifts, n_terms, fmt, output, oeis_id, offline, total,
               help="number of terms (n = 1..N)")
 @_common
 @_engine_extras
-def glr3_cmd(s12, s13, s23, n_terms, fmt, output, oeis_id, offline, total,
-             oracle_depth, dump_tiles_flag, dump_series):
+def glr3_cmd(s12, s13, s23, n_terms, total, oracle_depth, dump_series, **opts):
     """Reduced 3 x n boards avoiding three shift sets ({0},{0},{0} is
     the classical Latin rectangle case)."""
-    job = JobSpec(
-        GLR3,
-        {"s12": list(s12), "s13": list(s13), "s23": list(s23)},
-        n_terms,
-        oracle_depth,
-        total,
-    )
-    _run(job, fmt, output, oeis_id, offline, dump_tiles_flag, dump_series)
+    params = {"s12": list(s12), "s13": list(s13), "s23": list(s23)}
+    _run(JobSpec(GLR3, params, n_terms, oracle_depth, dump_series), total, **opts)
 
 
 @main.command("trapezoid")
@@ -238,22 +229,19 @@ def glr3_cmd(s12, s13, s23, n_terms, fmt, output, oeis_id, offline, total,
               help="number of terms (n = 3..N+2)")
 @_common
 @_engine_extras
-def trapezoid_cmd(n_terms, fmt, output, oeis_id, offline, total,
-                  oracle_depth, dump_tiles_flag, dump_series):
+def trapezoid_cmd(n_terms, total, oracle_depth, dump_series, **opts):
     """Latin trapezoids: rows of lengths n, n-1, n-2 with the diagonal
     constraint families; terms start at n=3."""
-    job = JobSpec(TRAPEZOID, {}, n_terms, oracle_depth, total)
-    _run(job, fmt, output, oeis_id, offline, dump_tiles_flag, dump_series)
+    _run(JobSpec(TRAPEZOID, {}, n_terms, oracle_depth, dump_series), total, **opts)
 
 
 @main.command("triangle")
 @click.option("--n", "n_max", type=click.IntRange(3), required=True,
               help="largest side length (terms for n = 3..n)")
 @_common
-def triangle_cmd(n_max, fmt, output, oeis_id, offline, total):
+def triangle_cmd(n_max, total, **opts):
     """Latin triangles (rows n, n-1, ..., 1), brute-force only."""
-    job = JobSpec(TRIANGLE, {}, n_max - 2, None, total)
-    _run(job, fmt, output, oeis_id, offline, False, None)
+    _run(JobSpec(TRIANGLE, {}, n_max - 2), total, **opts)
 
 
 @main.command("kernel")

@@ -35,9 +35,10 @@ tiles.py alphabet:
   - a tile on rows {1, 2} adds 1 to a23;
   - singletons add nothing.
 At a snapshot the profile is empty and every in-board cell is covered
-exactly once, so a_r = (cells swept in row r) - a23 - k_r.  That
-holds for any tiles whose x2, x3 and x23 weights sit on tiles with a
-cell on the rows they name, which _Sweep checks.
+exactly once, so a_r = (length of row r at n) - a23 - k_r, the row
+lengths being board.row_lengths(n), which the caller of unpack passes
+in.  That holds for any tiles whose x2, x3 and x23 weights sit on
+tiles with a cell on the rows they name, which _Sweep checks.
 
 The key holds a1 and a23 in 16-bit lanes.  The value packs every
 (k1, k2) of that key into one integer (Kronecker substitution):
@@ -60,6 +61,10 @@ only: adding 2^(B-1) to every slot and xor-ing it back turns the
 signed digits into B-bit two's complement; bytes.translate and
 bytes.find then skip the zero slots in C, so Python touches only the
 nonzero terms.
+
+advance is a pure column step and keeps coefficients that cancel to
+zero, which are rare; unpack drops them once per snapshot (a zero
+packed value has no nonzero digit, a zero 2-row term is skipped).
 
 The same column-transition table, read symbolically, gives the 2-row
 transfer system (I - X*T) G = e_empty over Z[x][[X]]; solving it
@@ -162,9 +167,8 @@ class _Sweep:
     def __init__(self, tiles: Sequence[Tile], board: BoardShape, n_max: int = 0):
         self.k = board.rows
         self.ring = ring_for(board.rows)
-        #: slot stride of k2, and cells swept so far in each row
+        #: slot stride of k2
         self.stride = n_max + 1
-        self.swept = [0] * board.rows
         ops: list[list[tuple[int, int, int, int]]] = [[] for _ in range(self.k)]
         for t in tiles:
             bits = 0
@@ -238,10 +242,7 @@ class _Sweep:
         blocked: tuple[bool, ...],
         empty_only: bool = False,
     ) -> dict[int, dict[int, int]]:
-        """One column; with empty_only, only the empty profile is kept.
-        Also counts the column's open cells in self.swept."""
-        for r, b in enumerate(blocked):
-            self.swept[r] += not b
+        """One column; with empty_only, only the empty profile is kept."""
         bits = self.bits
         ndist: dict[int, dict[int, int]] = {}
         for mask, poly in dist.items():
@@ -271,25 +272,21 @@ class _Sweep:
                     for key, v in items:
                         key += kd
                         tgt[key] = get(key, 0) + cf * v
-        for m2 in list(ndist):
-            bucket = ndist[m2]
-            dead = [kk for kk, vv in bucket.items() if vv == 0]
-            for kk in dead:
-                del bucket[kk]
-            if not bucket:
-                del ndist[m2]
         return ndist
 
-    def unpack(self, packed: dict[int, int]) -> WeightPolynomial:
-        """The polynomial of a snapshot's empty profile.  advance drops
-        zeros and the exponents are non-negative by exact cover, so the
-        terms need no re-validation."""
+    def unpack(
+        self, packed: dict[int, int], row_lengths: tuple[int, ...]
+    ) -> WeightPolynomial:
+        """The polynomial of a snapshot's empty profile on a board whose
+        rows have these lengths.  Zero coefficients are dropped here and
+        the exponents are non-negative by exact cover, so the terms need
+        no re-validation."""
         if self.k == 2:
             return WeightPolynomial.trusted(
-                self.ring, {(x,): c for x, c in packed.items()}
+                self.ring, {(x,): c for x, c in packed.items() if c}
             )
         lane = (1 << PACK_BITS) - 1
-        _, cells1, cells2 = self.swept
+        _, cells1, cells2 = row_lengths
         terms = {}
         for key, v in packed.items():
             a1, a23 = key & lane, key >> PACK_BITS
@@ -356,7 +353,7 @@ def weight_snapshots(
         # nothing reads the profiles the last column leaves behind
         dist = sweep.advance(dist, board.blocked_flags(n - 1), empty_only=n == n_max)
         if n >= board.min_n:
-            yield n, sweep.unpack(dist.get(0, {}))
+            yield n, sweep.unpack(dist.get(0, {}), board.row_lengths(n))
 
 
 def weight_series(

@@ -116,9 +116,6 @@ class WeightPolynomial:
         """Terms in descending lex order of exponent vectors."""
         return sorted(self._terms.items(), reverse=True)
 
-    def coefficient(self, exps: tuple[int, ...]) -> int:
-        return self._terms.get(exps, 0)
-
     def constant_term(self) -> int:
         return self._terms.get((0,) * self.ring.nvars, 0)
 
@@ -402,8 +399,8 @@ class RationalKernel:
         num: Sequence[WeightPolynomial],
         den: Sequence[WeightPolynomial],
     ):
-        num = _trim(list(num), ring)
-        den = _trim(list(den), ring)
+        num = _trim(list(num))
+        den = _trim(list(den))
         if not den:
             raise ZeroDivisionError("kernel with zero denominator")
         g = 0
@@ -501,7 +498,7 @@ class RationalKernel:
         return f"<kernel {self.canonical_str()}>"
 
 
-def _trim(parts: list[WeightPolynomial], ring: PolyRing) -> list[WeightPolynomial]:
+def _trim(parts: list[WeightPolynomial]) -> list[WeightPolynomial]:
     while parts and parts[-1].is_zero():
         parts.pop()
     return parts

@@ -152,7 +152,6 @@ class JobSpec:
     params: dict[str, Any] = field(default_factory=dict)
     n_terms: int = 10
     oracle_depth: int | None = None
-    total: bool = False
     #: also hand back P_n for n <= this in SequenceRecord.series
     series_to: int | None = None
 
@@ -268,10 +267,8 @@ def run_job(job: JobSpec) -> SequenceRecord:
     if job.n_terms < 1:
         raise ValueError(f"need at least one term, got {job.n_terms}")
     if job.family == TRIANGLE:
-        rec = triangle_seq(job.n_terms)
-    elif job.family in FAMILIES:
-        rec = run_family(FAMILIES[job.family], job.params, job.n_terms,
-                         job.oracle_depth, job.series_to)
-    else:
-        raise ValueError(f"unknown family {job.family!r}")
-    return apply_total(rec) if job.total else rec
+        return triangle_seq(job.n_terms)
+    if job.family in FAMILIES:
+        return run_family(FAMILIES[job.family], job.params, job.n_terms,
+                          job.oracle_depth, job.series_to)
+    raise ValueError(f"unknown family {job.family!r}")

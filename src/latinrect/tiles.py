@@ -11,8 +11,12 @@ translation, carrying an integer coefficient and one weight variable.
 
 The coefficient of a tile with cell set T is the signed count of the
 connected edge subsets that span T, each subset weighted (-1)^#edges.
-A lone edge gives -1, a two-edge path on three cells gives +1, and
-three cells with all three edges present give 3*(+1) + (-1)^3 = +2.
+A tile has at most three cells, one per row, so that count depends
+only on how many cells and edges it has, and the table _COEFFICIENTS
+is the implementation: a singleton gives 1, a lone edge -1, a
+two-edge path on three cells +1, and three cells with all three
+edges present 3*(+1) + (-1)^3 = +2.  Anything else is disconnected
+and gives 0.
 
 Weights by row support, with k rows in play:
   k=2: row-0 singleton -> 1, row-1 singleton -> x, any 2-cell -> 1.
@@ -166,36 +170,13 @@ def _available_edges(
     return out
 
 
+#: tile coefficient by (cells, edges among them); see the module docstring
+_COEFFICIENTS = {(1, 0): 1, (2, 1): -1, (3, 2): 1, (3, 3): 2}
+
+
 def tile_coefficient(cells: tuple[tuple[int, int], ...], spec: ShiftSpec) -> int:
     """Signed count of connected spanning edge subsets of the cell set."""
-    n = len(cells)
-    if n == 1:
-        return 1
-    edges = _available_edges(cells, spec)
-    total = 0
-    for size in range(n - 1, len(edges) + 1):
-        for subset in itertools.combinations(edges, size):
-            if _spans(subset, n):
-                total += (-1) ** size
-    # tiles came from connected components, so a vanishing total would
-    # mean the cell set was never a component in the first place
-    return total
-
-
-def _spans(edges: tuple[tuple[int, int], ...], n: int) -> bool:
-    seen = {0}
-    frontier = [0]
-    adj: dict[int, list[int]] = {}
-    for i, j in edges:
-        adj.setdefault(i, []).append(j)
-        adj.setdefault(j, []).append(i)
-    while frontier:
-        v = frontier.pop()
-        for w in adj.get(v, ()):
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return len(seen) == n
+    return _COEFFICIENTS.get((len(cells), len(_available_edges(cells, spec))), 0)
 
 
 def singleton_weight(row: int, rows: int) -> str:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import enum
 import math
-from functools import lru_cache
 
 from .poly import RING_2ROW, RING_3ROW, RingMismatchError, WeightPolynomial
 
@@ -40,15 +39,22 @@ class UmbralKind(enum.Enum):
     THREE_ROW_TRAPEZOID = "three-row-trapezoid"
 
 
-@lru_cache(maxsize=None)
+_factorials: tuple[int, ...] = (1,)
+
+
 def factorial_table(n_max: int) -> tuple[int, ...]:
-    """0!..n_max!, computed once per size."""
+    """0!..n_max!, sliced from one table that grows on demand."""
+    global _factorials
     if n_max < 0:
         raise ValueError(f"negative factorial table size {n_max}")
-    out = [1] * (n_max + 1)
-    for i in range(1, n_max + 1):
-        out[i] = out[i - 1] * i
-    return tuple(out)
+    table = _factorials
+    if len(table) <= n_max:
+        grown = list(table)
+        for i in range(len(table), n_max + 1):
+            grown.append(grown[-1] * i)
+        # rebound whole, so a reader never sees a partly grown table
+        _factorials = table = tuple(grown)
+    return table[: n_max + 1]
 
 
 def binomial(m: int, j: int) -> int:

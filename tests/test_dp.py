@@ -255,13 +255,13 @@ class TestUnpack:
         real = dpmod._Sweep.unpack
         seen = []
 
-        def checked(self, packed):
-            fast = real(self, packed)
+        def checked(self, packed, row_lengths):
+            fast = real(self, packed, row_lengths)
             if self.k == 2:
                 terms = {(x,): c for x, c in packed.items()}
             else:
                 lane = (1 << dpmod.PACK_BITS) - 1
-                _, cells1, cells2 = self.swept
+                _, cells1, cells2 = row_lengths
                 terms = {}
                 for key, v in packed.items():
                     a1, a23 = key & lane, key >> dpmod.PACK_BITS
@@ -285,6 +285,47 @@ class TestUnpack:
         for spec, board, n_max in cases:
             weight_series(enumerate_tiles(spec), board, n_max)
         assert seen.count(1) == 9 and seen.count(4) == 5 + 4 + 3
+
+
+class TestPureStep:
+    """advance depends on its arguments only, and zero coefficients it
+    leaves behind are dropped at unpack."""
+
+    CASES = [
+        (ShiftSpec.two_rows({-2, 0, 1}), rectangle(2), 8),
+        (ShiftSpec.three_rows({0, 1}, {0}, {-1}), rectangle(3), 6),
+        (ShiftSpec.three_rows({1, 2}, {-1}, {0, 2}), trapezoid3(), 6),
+    ]
+
+    @pytest.mark.parametrize("spec,board,n_max", CASES)
+    def test_zero_coefficients_dropped(self, spec, board, n_max, monkeypatch):
+        tiles = enumerate_tiles(spec)
+        want = list(weight_snapshots(tiles, board, n_max))
+        real = dpmod._Sweep.advance
+
+        def with_zeros(self, dist, blocked, **kw):
+            ndist = real(self, dist, blocked, **kw)
+            for bucket in ndist.values():
+                bucket[max(bucket, default=0) + 1] = 0
+            return ndist
+
+        monkeypatch.setattr(dpmod._Sweep, "advance", with_zeros)
+        got = list(weight_snapshots(tiles, board, n_max))
+        assert got == want
+        assert all(c != 0 for _, p in got for _, c in p.terms())
+
+    @pytest.mark.parametrize("spec,board,n_max", CASES)
+    def test_extra_step_changes_nothing(self, spec, board, n_max, monkeypatch):
+        tiles = enumerate_tiles(spec)
+        want = list(weight_snapshots(tiles, board, n_max))
+        real = dpmod._Sweep.advance
+
+        def twice(self, dist, blocked, **kw):
+            real(self, {m: dict(p) for m, p in dist.items()}, blocked)
+            return real(self, dist, blocked, **kw)
+
+        monkeypatch.setattr(dpmod._Sweep, "advance", twice)
+        assert list(weight_snapshots(tiles, board, n_max)) == want
 
 
 def random_three_row_specs(seed: int, count: int) -> list[ShiftSpec]:
@@ -362,8 +403,8 @@ class TestSlotBound:
         real = dpmod._Sweep.unpack
         checked = []
 
-        def bounded(self, packed):
-            p = real(self, packed)
+        def bounded(self, packed, row_lengths):
+            p = real(self, packed, row_lengths)
             assert self.bits % 8 == 0
             assert all(abs(c).bit_length() < self.bits for _, c in p.terms())
             checked.append(len(p))

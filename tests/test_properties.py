@@ -1,0 +1,68 @@
+"""Property tests over random shift specs: the engine against the
+brute-force oracle, S/-S mirror symmetry, and the one-pass mirrored
+trapezoid sweep against a sweep of each unmirrored board on its own.
+
+Examples are derandomized and not stored, so the run is repeatable and
+writes nothing."""
+
+from __future__ import annotations
+
+from hypothesis import given, settings, strategies as st
+
+from latinrect import oracle
+from latinrect.dp import trapezoid3, weight_snapshots
+from latinrect.sequences import gen_der_seq, glr3_seq
+from latinrect.tiles import ShiftSpec, enumerate_tiles
+from test_dp import ReferenceSweep
+
+N_MAX = 5
+
+PROPERTY = settings(max_examples=60, deadline=None, database=None, derandomize=True)
+
+shift_sets = st.frozensets(st.integers(-2, 2), max_size=3)
+three_row_specs = st.builds(ShiftSpec.three_rows, shift_sets, shift_sets, shift_sets)
+
+
+@PROPERTY
+@given(st.frozensets(st.integers(-3, 3), max_size=4))
+def test_two_row_engine_equals_oracle(shifts):
+    got = gen_der_seq(shifts, N_MAX, oracle_depth=0).terms
+    assert got == [oracle.count_generalized_perms(shifts, n) for n in range(1, N_MAX + 1)]
+
+
+@PROPERTY
+@given(three_row_specs)
+def test_three_row_engine_equals_oracle(spec):
+    got = glr3_seq(spec.s12, spec.s13, spec.s23, N_MAX, oracle_depth=0).terms
+    want = [oracle.count_glr3(spec.s12, spec.s13, spec.s23, n) for n in range(1, N_MAX + 1)]
+    assert got == want
+
+
+@PROPERTY
+@given(st.frozensets(st.integers(-3, 3), max_size=4), three_row_specs)
+def test_mirror_symmetry(shifts, spec):
+    assert (gen_der_seq(shifts, N_MAX, oracle_depth=0).terms
+            == gen_der_seq({-s for s in shifts}, N_MAX, oracle_depth=0).terms)
+    mirror = spec.mirrored()
+    assert (glr3_seq(spec.s12, spec.s13, spec.s23, N_MAX, oracle_depth=0).terms
+            == glr3_seq(mirror.s12, mirror.s13, mirror.s23, N_MAX, oracle_depth=0).terms)
+
+
+def per_n_trapezoid(spec: ShiftSpec, n: int):
+    """P_n of the trapezoid with rows n, n-1, n-2 swept as drawn: the
+    short rows miss a suffix that depends on n, so each n is a sweep
+    of its own."""
+    board = trapezoid3()
+    sweep = ReferenceSweep(enumerate_tiles(spec), board)
+    dist = {0: {0: 1}}
+    for column in range(n):
+        blocked = tuple(column >= board.row_length(r, n) for r in range(board.rows))
+        dist = sweep.advance(dist, blocked)
+    return sweep.unpack(dist.get(0, {}))
+
+
+@PROPERTY
+@given(three_row_specs)
+def test_mirrored_trapezoid_equals_per_n_sweep(spec):
+    for n, p in weight_snapshots(enumerate_tiles(spec), trapezoid3(), N_MAX):
+        assert p == per_n_trapezoid(spec, n), (spec.describe(), n)

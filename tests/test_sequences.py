@@ -164,7 +164,7 @@ class TestRunJob:
         assert rec.terms == [1, 0, 4]
 
     def test_total_flag(self):
-        rec = run_job(JobSpec(GEN_DER, {"shifts": [0]}, 4, total=True))
+        rec = apply_total(run_job(JobSpec(GEN_DER, {"shifts": [0]}, 4)))
         assert rec.terms == [0, 2, 12, 216]
 
     def test_unknown_family(self):
@@ -227,6 +227,16 @@ class TestStreaming:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 1024 * 1024
+
+    def test_factorials_kept_once(self):
+        # one factorial table per n held 0!..n! for every n: 176 MB
+        tracemalloc.start()
+        try:
+            glr3_seq([], [], [], 1000, oracle_depth=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 1024 * 1024
 
     @pytest.mark.parametrize("shifts,ns", [
         ([0, 1], (100, 200, 300)),

@@ -35,6 +35,14 @@ class TestHelpers:
     def test_factorial_table(self):
         assert factorial_table(5) == (1, 1, 2, 6, 24, 120)
 
+    def test_factorial_table_grows_and_slices(self):
+        # one shared table: a small request after a large one is a prefix
+        assert factorial_table(40) == tuple(math.factorial(i) for i in range(41))
+        assert factorial_table(3) == (1, 1, 2, 6)
+        assert factorial_table(0) == (1,)
+        with pytest.raises(ValueError):
+            factorial_table(-1)
+
     def test_binomial(self):
         assert binomial(5, 2) == 10
         assert binomial(3, 0) == 1

@@ -1,0 +1,80 @@
+"""Check that this checkout prints exactly what another checkout prints.
+
+    python3 tools/same_output.py PARENT_DIR
+
+Replays every job of perfbench/workloads.py, as written and with each
+shift set S replaced by -S, in every output format its command takes
+(plain, b-file, json), each with and without `--dump-series 8` where
+the command has that option, plus `--help` of the CLI and of every
+command.  Each command line runs as a fresh `python3 -m latinrect.cli`
+process on this checkout's source and on PARENT_DIR's.  stdout,
+stderr and exit code must match; a JSON record is compared without
+its `duration_seconds`, the one field that differs from run to run.
+Prints each command line that differs and exits 1 if there is one,
+0 otherwise.  perfbench/ is only read.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.dont_write_bytecode = True  # importing the workloads leaves perfbench/ untouched
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import WORKLOADS, mirrored  # noqa: E402
+
+COMMANDS = ("gen-der", "glr3", "trapezoid", "triangle", "kernel")
+FORMATS = {"kernel": ("plain", "json")}
+NO_DUMP = ("triangle",)
+
+
+def command_lines() -> list[tuple[str, ...]]:
+    lines: list[tuple[str, ...]] = [("--help",)]
+    lines += [(cmd, "--help") for cmd in COMMANDS]
+    for jobs in WORKLOADS.values():
+        for job in jobs:
+            for args in dict.fromkeys((job, mirrored(job))):
+                for fmt in FORMATS.get(args[0], ("plain", "bfile", "json")):
+                    lines.append((*args, "-f", fmt))
+                    if args[0] not in NO_DUMP:
+                        lines.append((*args, "-f", fmt, "--dump-series", "8"))
+    return lines
+
+
+def run(checkout: Path, args: tuple[str, ...]) -> tuple[int, bytes, bytes]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(checkout / "src")
+    # the OEIS check reads the frozen b-files and never downloads
+    env["LATINRECT_OEIS_CACHE"] = str(checkout / "tests" / "fixtures")
+    proc = subprocess.run([sys.executable, "-m", "latinrect.cli", *args],
+                          capture_output=True, env=env, cwd=checkout)
+    out = proc.stdout
+    if args[0] != "kernel" and "json" in args and proc.returncode == 0:
+        record = json.loads(out)
+        record.pop("duration_seconds")
+        out = json.dumps(record, indent=2, sort_keys=True).encode()
+    return proc.returncode, out, proc.stderr
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1 or not (Path(argv[0]) / "src" / "latinrect").is_dir():
+        print("usage: python3 tools/same_output.py PARENT_DIR", file=sys.stderr)
+        return 2
+    parent = Path(argv[0]).resolve()
+    lines = command_lines()
+    differ = 0
+    for args in lines:
+        if run(ROOT, args) != run(parent, args):
+            differ += 1
+            print("DIFFERS:", " ".join(args))
+    print(f"{len(lines)} command lines, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
