@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import os
 import re
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -98,6 +96,9 @@ def fetch_bfile(
         return path.read_text()
     if offline:
         raise OeisUnavailableError(f"offline and no cached b-file at {path}")
+    import urllib.error
+    import urllib.request
+
     url = bfile_url(oeis_id)
     try:
         with urllib.request.urlopen(url, timeout=timeout) as resp:

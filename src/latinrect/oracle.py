@@ -1,10 +1,16 @@
 """Independent reference counters for every object family.
 
-Everything here is deliberately naive or classical: explicit
-backtracking over rows, forbidden-value sets, rook polynomials,
-permanents.  No tilings, no generating functions, no shared logic
-with the fast engine.  The engine is trusted only because it agrees
-with these counters on every instance the test suite throws at both.
+Everything here is classical: forbidden-value sets, rook polynomials
+and permanents of 0/1 allowed-value matrices.  The row counters
+count without building what they count.  They backtrack the middle
+rows of an array and count the last row by a subset DP for the
+permanent (Ryser, Combinatorial Mathematics, 1963), or by a popcount
+where the last row is one cell.  The DP is carried down the
+backtracking and stepped as soon as a last-row cell's bans are fixed,
+so every middle row with a common prefix shares its completions.  No tilings, no generating functions, no shared logic
+with the fast engine; only the tiling oracles at the end read tile
+weights.  The engine is trusted only because it agrees with these
+counters on every instance the test suite throws at both.
 
 Conventions.  Arrays are reduced: row 0 is the identity 1..n.  For a
 shift s between rows r < r' the bad events are row_r[j] == row_rp[j+s]
@@ -24,7 +30,7 @@ import math
 from typing import Iterable, Iterator, Sequence
 
 MAX_N_TWO_ROWS = 11
-MAX_N_THREE_ROWS = 7
+MAX_N_THREE_ROWS = 8
 MAX_N_TRAPEZOID = 10
 MAX_N_TRIANGLE = 8
 
@@ -55,35 +61,54 @@ def _forbidden_values(n: int, shifts: frozenset[int], convention: str) -> list[f
     return banned
 
 
+# -- the shared counting step ------------------------------------------
+
+
+def _step(dp: dict[int, int], allowed: int) -> dict[int, int]:
+    """One position of a subset DP for the permanent of a 0/1 matrix
+    (Ryser 1963): dp maps the set of values used so far, as a bitmask,
+    to the number of injective prefixes using exactly that set; each
+    prefix is extended by every unused value in `allowed`."""
+    ndp: dict[int, int] = {}
+    for used, ways in dp.items():
+        free = allowed & ~used
+        while free:
+            bit = free & -free
+            free ^= bit
+            key = used | bit
+            ndp[key] = ndp.get(key, 0) + ways
+    return ndp
+
+
+def _count_injective(allowed: Sequence[int]) -> int:
+    """Number of injective value assignments, allowed[i] a bitmask."""
+    dp = {0: 1}
+    for am in allowed:
+        dp = _step(dp, am)
+        if not dp:
+            return 0
+    return sum(dp.values())
+
+
+def _mask(values: Iterable[int]) -> int:
+    out = 0
+    for v in values:
+        out |= 1 << v
+    return out
+
+
 # -- two rows: generalized derangements ---------------------------------
 
 
 def count_generalized_perms(
     shifts: Iterable[int], n: int, convention: str = I_MINUS_PI
 ) -> int:
-    """Backtracking count of permutations avoiding the shift set."""
-    _guard(n, MAX_N_TWO_ROWS, "two-row")
-    return sum(1 for _ in iter_generalized_perms(shifts, n, convention))
-
-
-def iter_generalized_perms(
-    shifts: Iterable[int], n: int, convention: str = I_MINUS_PI
-) -> Iterator[tuple[int, ...]]:
+    """Permutations avoiding the shift set: the permanent of the
+    allowed-value matrix."""
     _guard(n, MAX_N_TWO_ROWS, "two-row")
     banned = _forbidden_values(n, frozenset(shifts), convention)
-    pi = [0] * (n + 1)
-
-    def go(m: int, used: int) -> Iterator[tuple[int, ...]]:
-        if m > n:
-            yield tuple(pi[1:])
-            return
-        for v in range(1, n + 1):
-            if used >> v & 1 or v in banned[m]:
-                continue
-            pi[m] = v
-            yield from go(m + 1, used | 1 << v)
-
-    yield from go(1, 0)
+    full = (1 << (n + 1)) - 2
+    return _count_injective([full & ~_mask(banned[m]) for m in range(1, n + 1)])
 
 
 def count_generalized_perms_banded(
@@ -93,7 +118,8 @@ def count_generalized_perms_banded(
     forbidden board, then sum (-1)^k r_k (n-k)!.
 
     Polynomial in n for a fixed shift set, so it reaches depths the
-    backtracker cannot; used to build long reference prefixes.
+    permanent's 2^n subsets cannot; used to build long reference
+    prefixes.
     """
     if n < 0:
         raise ValueError(f"negative board size {n}")
@@ -135,68 +161,62 @@ def count_generalized_perms_banded(
 # -- three rows: generalized Latin rectangles ---------------------------
 
 
-def _count_injective(allowed: Sequence[int]) -> int:
-    """Number of injective value assignments, allowed[i] a bitmask."""
-    dp = {0: 1}
-    for am in allowed:
-        ndp: dict[int, int] = {}
-        for used, ways in dp.items():
-            free = am & ~used
-            while free:
-                bit = free & -free
-                free ^= bit
-                key = used | bit
-                ndp[key] = ndp.get(key, 0) + ways
-        dp = ndp
-        if not dp:
-            return 0
-    return sum(dp.values())
-
-
-def _iter_row1(n: int, banned: Sequence[frozenset[int]]) -> Iterator[list[int]]:
-    row = [0] * (n + 1)
-
-    def go(m: int, used: int) -> Iterator[list[int]]:
-        if m > n:
-            yield row
-            return
-        for v in range(1, n + 1):
-            if used >> v & 1 or v in banned[m]:
-                continue
-            row[m] = v
-            yield from go(m + 1, used | 1 << v)
-
-    yield from go(1, 0)
-
-
 def count_glr3(
     s12: Iterable[int], s13: Iterable[int], s23: Iterable[int], n: int
 ) -> int:
-    """Reduced 3-row count: backtrack the middle row, then count the
-    top row as an injective assignment against precomputed bans."""
+    """Reduced 3-row count on the n x 3 rectangle."""
     _guard(n, MAX_N_THREE_ROWS, "three-row")
-    s12, s13, s23 = frozenset(s12), frozenset(s13), frozenset(s23)
-    banned1 = _forbidden_values(n, s12, I_MINUS_PI)
-    banned2 = _forbidden_values(n, s13, I_MINUS_PI)
-    base = [0] * (n + 1)
-    for m in range(1, n + 1):
-        msk = 0
-        for v in banned2[m]:
-            msk |= 1 << v
-        base[m] = msk
+    return _count_3rows(n, n, n, s12, s13, s23)
+
+
+def _count_3rows(
+    n: int, len1: int, len2: int,
+    s12: Iterable[int], s13: Iterable[int], s23: Iterable[int],
+) -> int:
+    """Reduced 3-row arrays whose middle and top rows have lengths len1
+    and len2 <= n, all rows over 1..n: backtrack the middle row and
+    carry the top row's subset DP along it.  Top cell m is banned the
+    middle entries at m - s for s in s23, so it is fixed once the
+    middle row is filled through m + lookahead; it is stepped right
+    then, every middle row with that prefix shares the result, and an
+    empty DP ends the branch."""
+    s23 = frozenset(s23)
+    banned1 = _forbidden_values(n, frozenset(s12), I_MINUS_PI)
+    banned2 = _forbidden_values(n, frozenset(s13), I_MINUS_PI)
     full = (1 << (n + 1)) - 2
-    total = 0
-    for row1 in _iter_row1(n, banned1):
-        allowed = []
-        for m in range(1, n + 1):
-            bad = base[m]
-            for s in s23:
-                j = m - s
-                if 1 <= j <= n:
-                    bad |= 1 << row1[j]
-            allowed.append(full & ~bad)
-        total += _count_injective(allowed)
-    return total
+    allowed1 = [0] + [full & ~_mask(banned1[m]) for m in range(1, len1 + 1)]
+    base = [0] + [full & ~_mask(banned2[m]) for m in range(1, len2 + 1)]
+    lookahead = max(0, -min(s23, default=0))
+    row1 = [0] * (len1 + 1)  # middle row as value bits
+
+    def top(m: int) -> int:
+        bad = 0
+        for s in s23:
+            if 1 <= m - s <= len1:
+                bad |= row1[m - s]
+        return base[m] & ~bad
+
+    def go(k: int, used: int, dp: dict[int, int]) -> int:
+        if k > len1:
+            return sum(dp.values())
+        total = 0
+        free = allowed1[k] & ~used
+        while free:
+            bit = free & -free
+            free ^= bit
+            row1[k] = bit
+            nxt = dp
+            # the top cells whose bans this middle cell completes
+            last = len2 if k == len1 else min(k - lookahead, len2)
+            for m in range(max(1, k - lookahead), last + 1):
+                nxt = _step(nxt, top(m))
+                if not nxt:
+                    break
+            if nxt:
+                total += go(k + 1, used | bit, nxt)
+        return total
+
+    return go(1, 0, {0: 1})
 
 
 def count_latin3_cycle_type(n: int) -> int:
@@ -257,102 +277,63 @@ def _cycle_rep(parts: Sequence[int], n: int) -> list[int]:
 def count_trapezoid3(n: int) -> int:
     """Rows of lengths n, n-1, n-2 over symbols 1..n; row 0 is the
     identity; middle cell m avoids {m, m+1}, top cell m avoids
-    {m, m+2} and the middle entries at m and m+1; rows injective."""
+    {m, m+2} and the middle entries at m and m+1; rows injective.
+    These are the three-row bans for s12 = {0, -1}, s13 = {0, -2} and
+    s23 = {0, -1}, every referenced position on the board."""
     _guard(n, MAX_N_TRAPEZOID, "trapezoid")
     if n < 3:
         raise ValueError(f"trapezoids start at n=3, got {n}")
-    total = 0
-    for row1 in _iter_trap_row1(n):
-        allowed = []
-        full = (1 << (n + 1)) - 2
-        for m in range(1, n - 1):
-            bad = (1 << m) | (1 << (m + 2)) | (1 << row1[m]) | (1 << row1[m + 1])
-            allowed.append(full & ~bad)
-        total += _count_injective(allowed)
-    return total
-
-
-def _iter_trap_row1(n: int) -> Iterator[list[int]]:
-    row = [0] * n
-
-    def go(m: int, used: int) -> Iterator[list[int]]:
-        if m > n - 1:
-            yield row
-            return
-        for v in range(1, n + 1):
-            if used >> v & 1 or v == m or v == m + 1:
-                continue
-            row[m] = v
-            yield from go(m + 1, used | 1 << v)
-
-    yield from go(1, 0)
-
-
-def iter_trapezoid3(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    _guard(n, MAX_N_TRAPEZOID, "trapezoid")
-    if n < 3:
-        raise ValueError(f"trapezoids start at n=3, got {n}")
-    identity = tuple(range(1, n + 1))
-    for row1 in _iter_trap_row1(n):
-        fixed1 = tuple(row1[1:])
-        row2 = [0] * (n - 1)
-
-        def go(m: int, used: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-            if m > n - 2:
-                yield (identity, fixed1, tuple(row2[1:]))
-                return
-            for v in range(1, n + 1):
-                if used >> v & 1 or v in (m, m + 2, row1[m], row1[m + 1]):
-                    continue
-                row2[m] = v
-                yield from go(m + 1, used | 1 << v)
-
-        yield from go(1, 0)
+    return _count_3rows(n, n - 1, n - 2, {0, -1}, {0, -2}, {0, -1})
 
 
 def count_latin_triangle(n: int) -> int:
-    return sum(1 for _ in iter_latin_triangles(n))
-
-
-def iter_latin_triangles(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Rows of lengths n, n-1, ..., 1 over symbols 1..n, bottom row the
     identity; the cell at (row r, position m) differs from the row r-d
     entries at positions m and m+d for every d, and rows are injective.
-    Both referenced positions always exist: row r-d has length n-r+d."""
+    Both referenced positions always exist: row r-d has length n-r+d.
+    Backtracks every row but the last, with one ban mask per cell, and
+    counts the last row's one cell by the popcount of its allowed
+    values."""
     _guard(n, MAX_N_TRIANGLE, "triangle")
     if n < 1:
         raise ValueError(f"triangles start at n=1, got {n}")
-    rows: list[list[int]] = [list(range(1, n + 1))]
+    full = (1 << (n + 1)) - 2
+    # rows of value bits, bottom row the identity
+    rows: list[list[int]] = [[1 << v for v in range(1, n + 1)]]
 
-    def fill(r: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    def allowed(r: int, m: int) -> int:
+        bad = 0
+        for d in range(1, r + 1):
+            below = rows[r - d]
+            bad |= below[m] | below[m + d]
+        return full & ~bad
+
+    def fill(r: int) -> int:
         if r == n:
-            yield tuple(tuple(row) for row in rows)
-            return
+            return 1
+        if r == n - 1:
+            return allowed(r, 0).bit_count()
         length = n - r
         row = [0] * length
         rows.append(row)
 
-        def go(m: int, used: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+        def go(m: int, used: int) -> int:
             if m == length:
-                yield from fill(r + 1)
-                return
-            for v in range(1, n + 1):
-                if used >> v & 1:
-                    continue
-                if any(rows[r - d][m] == v or rows[r - d][m + d] == v for d in range(1, r + 1)):
-                    continue
-                row[m] = v
-                yield from go(m + 1, used | 1 << v)
+                return fill(r + 1)
+            total = 0
+            free = allowed(r, m) & ~used
+            while free:
+                bit = free & -free
+                free ^= bit
+                row[m] = bit
+                total += go(m + 1, used | bit)
+            return total
 
-        yield from go(0, 0)
+        total = go(0, 0)
         rows.pop()
+        return total
 
-    yield from fill(1)
-
-
-def format_rows(rows: Iterable[Iterable[int]]) -> str:
-    """One-line text form of a counted object: rows joined by '/'."""
-    return "/".join(" ".join(str(v) for v in row) for row in rows)
+    return fill(1)
 
 
 # -- brute-force tiling enumeration -------------------------------------

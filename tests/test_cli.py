@@ -104,6 +104,12 @@ class TestOtherFamilies:
         r = invoke(runner, "glr3", "--s12", "0", "--s13", "0", "--s23", "0", "-N", "5")
         assert r.stdout == "1 0\n2 0\n3 2\n4 24\n5 552\n"
 
+    def test_glr3_oracle_to_n8(self, runner):
+        r = invoke(runner, "glr3", "--s12", "0", "--s13", "0", "--s23", "0",
+                   "-N", "8", "--oracle-depth", "8")
+        assert r.exit_code == 0
+        assert r.stdout.splitlines()[-1] == "8 70299264"
+
     def test_glr3_empty_sets_default(self, runner):
         r = invoke(runner, "glr3", "-N", "3")
         assert r.stdout == "1 1\n2 4\n3 36\n"

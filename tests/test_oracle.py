@@ -1,8 +1,12 @@
 """Brute-force oracles against frozen small values and against each
 other.  The frozen numbers here are the reference points the engine is
-later judged by, so they come from direct enumeration only."""
+later judged by, so they come from direct enumeration only: the
+counting oracles are checked against witness enumerators that build
+every object they count."""
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
@@ -18,13 +22,16 @@ from latinrect.oracle import (
     count_latin_triangle,
     count_tilings,
     count_trapezoid3,
-    format_rows,
-    iter_generalized_perms,
-    iter_latin_triangles,
-    iter_trapezoid3,
     weighted_tiling_sum,
 )
 from latinrect.tiles import ShiftSpec, enumerate_tiles, ring_for
+from witnesses import (
+    format_rows,
+    iter_generalized_perms,
+    iter_glr3,
+    iter_latin_triangles,
+    iter_trapezoid3,
+)
 
 DERANGEMENTS = [0, 1, 2, 9, 44, 265, 1854, 14833, 133496]
 MENAGE = [0, 0, 1, 3, 16, 96, 675, 5413, 48800, 488592]
@@ -124,7 +131,7 @@ class TestTrapezoid:
             assert count_trapezoid3(n) == want
 
     def test_iter_matches_count(self):
-        for n in (3, 4, 5):
+        for n in range(3, 8):
             assert sum(1 for _ in iter_trapezoid3(n)) == count_trapezoid3(n)
 
     def test_rows_have_trapezoid_shape(self):
@@ -178,3 +185,57 @@ class TestTilingEnumeration:
 
     def test_format_rows(self):
         assert format_rows([[1, 2], [3]]) == "1 2/3"
+
+
+def _random_shifts(rng: random.Random, lo: int, hi: int, most: int) -> set[int]:
+    return {rng.randint(lo, hi) for _ in range(rng.randint(1, most))}
+
+
+class TestCountersAgainstWitnesses:
+    """Each counter against a route that builds every object it counts,
+    or against a second counting method."""
+
+    def test_two_row_both_conventions(self):
+        rng = random.Random(61)
+        for _ in range(12):
+            shifts = _random_shifts(rng, -3, 3, 4)
+            for n in range(1, 9):
+                for convention in (I_MINUS_PI, PI_MINUS_I):
+                    want = sum(1 for _ in iter_generalized_perms(shifts, n, convention))
+                    assert count_generalized_perms(shifts, n, convention) == want, \
+                        (shifts, n, convention)
+
+    def test_two_row_against_rook_polynomial(self):
+        rng = random.Random(62)
+        for _ in range(20):
+            shifts = _random_shifts(rng, -4, 4, 5)
+            for n in range(1, oracle.MAX_N_TWO_ROWS + 1):
+                assert count_generalized_perms(shifts, n) == \
+                    count_generalized_perms_banded(shifts, n), (shifts, n)
+
+    def test_glr3_random_specs(self):
+        # negative s23 shifts are the ones that need the top-row lookahead
+        rng = random.Random(63)
+        for _ in range(10):
+            sets = [_random_shifts(rng, -2, 2, 3) for _ in range(3)]
+            for n in range(1, 7):
+                want = sum(1 for _ in iter_glr3(*sets, n))
+                assert count_glr3(*sets, n) == want, (sets, n)
+
+    def test_glr3_lookahead_past_the_middle_row(self):
+        # lookahead 2 at n <= 2: every top cell waits for the last middle cell
+        for sets in (({0}, set(), {-2}), ({1}, {0}, {-2, -1}), (set(), {2}, {-2, 2})):
+            for n in range(1, 6):
+                want = sum(1 for _ in iter_glr3(*sets, n))
+                assert count_glr3(*sets, n) == want, (sets, n)
+
+    def test_latin_rectangles_n8(self):
+        assert count_glr3({0}, {0}, {0}, 8) == count_latin3_cycle_type(8) == 70299264
+
+    def test_trapezoid_n9_published(self):
+        # the n=9 term of the fifteen published trapezoid counts
+        assert count_trapezoid3(9) == 285667270
+
+    def test_triangles(self):
+        for n in range(1, 7):
+            assert count_latin_triangle(n) == sum(1 for _ in iter_latin_triangles(n))
