@@ -170,6 +170,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("args", [
         ("trapezoid", "-N", "3", "--oracle-depth", "20"),
         ("gen-der", "--shifts", "0", "-N", "3", "--oracle-depth", "12"),
+        ("triangle", "--n", "8"),
         ("triangle", "--n", "9"),
     ])
     def test_check_past_oracle_cap_is_usage_error(self, runner, args):

@@ -22,7 +22,6 @@ from latinrect.dp import (
     weight_series,
     weight_snapshots,
 )
-from latinrect.oracle import weighted_tiling_sum
 from latinrect.poly import RING_2ROW, RING_KERNEL, WeightPolynomial
 from latinrect.tiles import (
     UNIT_WEIGHT,
@@ -32,6 +31,7 @@ from latinrect.tiles import (
     ring_for,
     tile_monomial,
 )
+from witnesses import weighted_tiling_sum
 
 X = RING_2ROW.var("x")
 

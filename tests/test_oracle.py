@@ -12,8 +12,6 @@ import pytest
 
 from latinrect import oracle
 from latinrect.oracle import (
-    I_MINUS_PI,
-    PI_MINUS_I,
     OracleLimitError,
     count_generalized_perms,
     count_generalized_perms_banded,
@@ -22,15 +20,17 @@ from latinrect.oracle import (
     count_latin_triangle,
     count_tilings,
     count_trapezoid3,
-    weighted_tiling_sum,
 )
 from latinrect.tiles import ShiftSpec, enumerate_tiles, ring_for
 from witnesses import (
+    I_MINUS_PI,
+    PI_MINUS_I,
     format_rows,
     iter_generalized_perms,
     iter_glr3,
     iter_latin_triangles,
     iter_trapezoid3,
+    weighted_tiling_sum,
 )
 
 DERANGEMENTS = [0, 1, 2, 9, 44, 265, 1854, 14833, 133496]
@@ -62,20 +62,17 @@ class TestTwoRows:
             assert all(i - v not in (0, 1) for i, v in enumerate(pi, start=1))
 
     def test_conventions_mirror_counts(self):
+        # the other sign convention is the mirrored set -S
         for shifts in ({1}, {0, 2}, {-1, 1, 2}):
             for n in range(1, 7):
-                a = count_generalized_perms(shifts, n, I_MINUS_PI)
-                b = count_generalized_perms(shifts, n, PI_MINUS_I)
+                a = count_generalized_perms(shifts, n)
+                b = count_generalized_perms({-s for s in shifts}, n)
                 assert a == b
 
     def test_conventions_differ_in_witnesses(self):
         a = set(iter_generalized_perms({1}, 4, I_MINUS_PI))
         b = set(iter_generalized_perms({1}, 4, PI_MINUS_I))
         assert a != b and len(a) == len(b)
-
-    def test_unknown_convention(self):
-        with pytest.raises(ValueError):
-            count_generalized_perms_banded({0}, 4, "sideways")
 
     def test_cap(self):
         with pytest.raises(OracleLimitError):
@@ -98,11 +95,6 @@ class TestBandedRoute:
             want = sum((-1) ** k * math.factorial(n) // math.factorial(k)
                        for k in range(n + 1))
             assert count_generalized_perms_banded({0}, n) == want
-
-    def test_convention_flag(self):
-        for n in range(1, 9):
-            assert count_generalized_perms_banded({1, 2}, n, PI_MINUS_I) == \
-                count_generalized_perms_banded({-1, -2}, n, I_MINUS_PI)
 
 
 class TestThreeRows:
@@ -200,9 +192,11 @@ class TestCountersAgainstWitnesses:
         for _ in range(12):
             shifts = _random_shifts(rng, -3, 3, 4)
             for n in range(1, 9):
-                for convention in (I_MINUS_PI, PI_MINUS_I):
+                # pi(i) - i avoiding S is i - pi(i) avoiding -S
+                for convention, signed in ((I_MINUS_PI, shifts),
+                                           (PI_MINUS_I, {-s for s in shifts})):
                     want = sum(1 for _ in iter_generalized_perms(shifts, n, convention))
-                    assert count_generalized_perms(shifts, n, convention) == want, \
+                    assert count_generalized_perms(signed, n) == want, \
                         (shifts, n, convention)
 
     def test_two_row_against_rook_polynomial(self):

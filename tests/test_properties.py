@@ -1,6 +1,8 @@
 """Property tests over random shift specs: the engine against the
-brute-force oracle, S/-S mirror symmetry, and the one-pass mirrored
-trapezoid sweep against a sweep of each unmirrored board on its own.
+brute-force oracle, S/-S mirror symmetry, the one-pass mirrored
+trapezoid sweep against a sweep of each unmirrored board on its own,
+the 2-row sweep against its rational kernel, and exact-cover counts
+against tiling enumeration.
 
 Examples are derandomized and not stored, so the run is repeatable and
 writes nothing."""
@@ -10,9 +12,9 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from latinrect import oracle
-from latinrect.dp import trapezoid3, weight_snapshots
+from latinrect.dp import kernel2, rectangle, trapezoid3, weight_snapshots
 from latinrect.sequences import gen_der_seq, glr3_seq
-from latinrect.tiles import ShiftSpec, enumerate_tiles
+from latinrect.tiles import UNIT_WEIGHT, ShiftSpec, Tile, enumerate_tiles
 from test_dp import ReferenceSweep
 
 N_MAX = 5
@@ -66,3 +68,22 @@ def per_n_trapezoid(spec: ShiftSpec, n: int):
 def test_mirrored_trapezoid_equals_per_n_sweep(spec):
     for n, p in weight_snapshots(enumerate_tiles(spec), trapezoid3(), N_MAX):
         assert p == per_n_trapezoid(spec, n), (spec.describe(), n)
+
+
+@PROPERTY
+@given(st.frozensets(st.integers(-2, 2)))
+def test_kernel_series_equals_two_row_sweep(shifts):
+    sweep = [p for _, p in weight_snapshots(
+        enumerate_tiles(ShiftSpec.two_rows(shifts)), rectangle(2), 10)]
+    assert kernel2(shifts).series(10) == sweep
+
+
+@PROPERTY
+@given(st.one_of(st.builds(ShiftSpec.two_rows, shift_sets), three_row_specs))
+def test_unit_weight_sweep_counts_exact_covers(spec):
+    tiles = enumerate_tiles(spec)
+    unsigned = [Tile(cells=t.cells, coefficient=1, weight=UNIT_WEIGHT) for t in tiles]
+    board = rectangle(spec.rows)
+    for n, p in weight_snapshots(unsigned, board, N_MAX):
+        assert p.constant_term() == oracle.count_tilings(tiles, board.row_lengths(n)), \
+            (spec.describe(), n)

@@ -1,27 +1,40 @@
 """Witness enumerators: every counted object built and yielded one at
 a time.  The package oracles only count; these list the objects, so
 tests can check a witness's shape, compare witness sets, and cross-check
-each counter against a route that builds what it counts."""
+each counter against a route that builds what it counts.  The weighted
+tiling sum at the end is the brute-force mirror of one engine value.
+
+Both sign conventions for a single permutation row appear in the
+literature: "i - pi(i) is never in S", the package's, and "pi(i) - i is
+never in S", which is the package's rule for the mirrored set -S.  The
+enumerator takes either, so tests can see that the two witness sets
+differ while their counts agree."""
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from latinrect.oracle import (
-    I_MINUS_PI,
     MAX_N_TRAPEZOID,
     MAX_N_TRIANGLE,
     MAX_N_TWO_ROWS,
-    _forbidden_values,
     _guard,
+    iter_tilings,
 )
+from latinrect.poly import WeightPolynomial
+from latinrect.tiles import weight_exponents
+
+I_MINUS_PI = "i-minus-pi"
+PI_MINUS_I = "pi-minus-i"
 
 
 def iter_generalized_perms(
     shifts: Iterable[int], n: int, convention: str = I_MINUS_PI
 ) -> Iterator[tuple[int, ...]]:
     _guard(n, MAX_N_TWO_ROWS, "two-row")
-    banned = _forbidden_values(n, frozenset(shifts), convention)
+    sign = {I_MINUS_PI: 1, PI_MINUS_I: -1}[convention]
+    signed = {sign * s for s in shifts}
+    banned = [{m - s for s in signed} for m in range(n + 1)]
     pi = [0] * (n + 1)
 
     def go(m: int, used: int) -> Iterator[tuple[int, ...]]:
@@ -143,3 +156,22 @@ def iter_latin_triangles(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
 def format_rows(rows: Iterable[Iterable[int]]) -> str:
     """One-line text form of a counted object: rows joined by '/'."""
     return "/".join(" ".join(str(v) for v in row) for row in rows)
+
+
+def weighted_tiling_sum(
+    tiles: Sequence, row_lengths: Sequence[int], ring
+) -> WeightPolynomial:
+    """Sum over all tilings of the product of tile coefficients and
+    weight variables; the brute-force mirror of one engine value."""
+    zero = (0,) * ring.nvars
+    acc: dict[tuple[int, ...], int] = {}
+    for tiling in iter_tilings(tiles, row_lengths):
+        coeff = 1
+        exps = list(zero)
+        for tile, _ in tiling:
+            coeff *= tile.coefficient
+            for i, e in enumerate(weight_exponents(tile.weight, ring)):
+                exps[i] += e
+        key = tuple(exps)
+        acc[key] = acc.get(key, 0) + coeff
+    return WeightPolynomial(ring, acc)

@@ -6,8 +6,11 @@ Replays every job of perfbench/workloads.py, as written and with each
 shift set S replaced by -S, in every output format its command takes
 (plain, b-file, json), each with and without `--dump-series 8` where
 the command has that option, plus `--help` of the CLI and of every
-command.  Each command line runs as a fresh `python3 -m latinrect.cli`
-process on this checkout's source and on PARENT_DIR's.  stdout,
+command.  The benchmark's oracle depths stop short of the caps, so the
+DEEP_ORACLE jobs also run, in plain format: each family's brute-force
+counter at or near its cap, about 20 s per checkout.  Each command
+line runs as a fresh `python3 -m latinrect.cli` process on this
+checkout's source and on PARENT_DIR's.  stdout,
 stderr and exit code must match; a JSON record is compared without
 its `duration_seconds`, the one field that differs from run to run.
 Prints each command line that differs and exits 1 if there is one,
@@ -26,11 +29,18 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True  # importing the workloads leaves perfbench/ untouched
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from workloads import WORKLOADS, mirrored  # noqa: E402
+from workloads import SUPER, WORKLOADS, mirrored  # noqa: E402
 
 COMMANDS = ("gen-der", "glr3", "trapezoid", "triangle", "kernel")
 FORMATS = {"kernel": ("plain", "json")}
 NO_DUMP = ("triangle",)
+DEEP_ORACLE = (
+    ("gen-der", "--shifts", "0,1", "-N", "11", "--oracle-depth", "11"),
+    ("glr3", "--s12", "0", "--s13", "0", "--s23", "0", "-N", "8", "--oracle-depth", "8"),
+    ("glr3", *SUPER, "-N", "8", "--oracle-depth", "8"),
+    ("trapezoid", "-N", "7", "--oracle-depth", "9"),
+    ("triangle", "--n", "7"),
+)
 
 
 def command_lines() -> list[tuple[str, ...]]:
@@ -43,6 +53,8 @@ def command_lines() -> list[tuple[str, ...]]:
                     lines.append((*args, "-f", fmt))
                     if args[0] not in NO_DUMP:
                         lines.append((*args, "-f", fmt, "--dump-series", "8"))
+    for job in DEEP_ORACLE:
+        lines += [(*args, "-f", "plain") for args in dict.fromkeys((job, mirrored(job)))]
     return lines
 
 
