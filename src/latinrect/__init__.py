@@ -15,10 +15,8 @@ from .poly import (
     solve_linear_system,
 )
 from .tiles import (
-    EdgeTemplate,
     ShiftSpec,
     Tile,
-    build_edges,
     dump_tiles,
     enumerate_tiles,
     ring_for,
@@ -35,7 +33,6 @@ from .dp import (
 )
 from .umbra import (
     UmbralKind,
-    binomial,
     factorial_table,
     umbral_eval,
     umbral_eval_2row,

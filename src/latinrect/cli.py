@@ -16,7 +16,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .dp import kernel2
+from .dp import LaneOverflowError, kernel2
 from .oeis import MATCH, MISMATCH, format_bfile, oeis_check
 from .oracle import OracleLimitError
 from .sequences import (
@@ -25,7 +25,6 @@ from .sequences import (
     GLR3,
     TRAPEZOID,
     TRIANGLE,
-    JobSpec,
     OracleMismatchError,
     SequenceRecord,
     apply_total,
@@ -112,13 +111,14 @@ def _oeis(record: SequenceRecord, oeis_id: str | None, offline: bool) -> int:
     return EXIT_OEIS_UNVERIFIABLE
 
 
-def _run(job: JobSpec, total, fmt, output, oeis_id, offline, dump_tiles_flag=False):
+def _run(family, params, n_terms, oracle_depth=None, series_to=None, *,
+         total, fmt, output, oeis_id, offline, dump_tiles_flag=False):
     try:
-        reduced = run_job(job)
+        reduced = run_job(family, params, n_terms, oracle_depth, series_to)
     except OracleMismatchError as exc:
         click.echo(f"oracle mismatch: {exc}", err=True)
         sys.exit(EXIT_ORACLE_MISMATCH)
-    except OracleLimitError as exc:
+    except (OracleLimitError, LaneOverflowError) as exc:
         raise click.UsageError(str(exc)) from None
     record = apply_total(reduced) if total else reduced
     _dumps(record, dump_tiles_flag)
@@ -203,10 +203,9 @@ def main() -> None:
               help="number of terms (n = 1..N)")
 @_common
 @_engine_extras
-def gen_der_cmd(shifts, n_terms, total, oracle_depth, dump_series, **opts):
+def gen_der_cmd(shifts, n_terms, oracle_depth, dump_series, **opts):
     """Permutations of n with i - pi(i) outside the shift set."""
-    job = JobSpec(GEN_DER, {"shifts": list(shifts)}, n_terms, oracle_depth, dump_series)
-    _run(job, total, **opts)
+    _run(GEN_DER, {"shifts": list(shifts)}, n_terms, oracle_depth, dump_series, **opts)
 
 
 @main.command("glr3")
@@ -217,11 +216,11 @@ def gen_der_cmd(shifts, n_terms, total, oracle_depth, dump_series, **opts):
               help="number of terms (n = 1..N)")
 @_common
 @_engine_extras
-def glr3_cmd(s12, s13, s23, n_terms, total, oracle_depth, dump_series, **opts):
+def glr3_cmd(s12, s13, s23, n_terms, oracle_depth, dump_series, **opts):
     """Reduced 3 x n boards avoiding three shift sets ({0},{0},{0} is
     the classical Latin rectangle case)."""
     params = {"s12": list(s12), "s13": list(s13), "s23": list(s23)}
-    _run(JobSpec(GLR3, params, n_terms, oracle_depth, dump_series), total, **opts)
+    _run(GLR3, params, n_terms, oracle_depth, dump_series, **opts)
 
 
 @main.command("trapezoid")
@@ -229,19 +228,19 @@ def glr3_cmd(s12, s13, s23, n_terms, total, oracle_depth, dump_series, **opts):
               help="number of terms (n = 3..N+2)")
 @_common
 @_engine_extras
-def trapezoid_cmd(n_terms, total, oracle_depth, dump_series, **opts):
+def trapezoid_cmd(n_terms, oracle_depth, dump_series, **opts):
     """Latin trapezoids: rows of lengths n, n-1, n-2 with the diagonal
     constraint families; terms start at n=3."""
-    _run(JobSpec(TRAPEZOID, {}, n_terms, oracle_depth, dump_series), total, **opts)
+    _run(TRAPEZOID, {}, n_terms, oracle_depth, dump_series, **opts)
 
 
 @main.command("triangle")
 @click.option("--n", "n_max", type=click.IntRange(3), required=True,
               help="largest side length (terms for n = 3..n)")
 @_common
-def triangle_cmd(n_max, total, **opts):
+def triangle_cmd(n_max, **opts):
     """Latin triangles (rows n, n-1, ..., 1), brute-force only."""
-    _run(JobSpec(TRIANGLE, {}, n_max - 2), total, **opts)
+    _run(TRIANGLE, {}, n_max - 2, **opts)
 
 
 @main.command("kernel")

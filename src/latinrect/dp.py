@@ -13,11 +13,12 @@ tile width w the profile fits in w*rows bits.
 Out-of-board cells must stay uncovered: states that covered one die
 when the scan reaches the cell.  The snapshot after column c-1 reads
 the empty profile, which is exactly "no tile pokes into column c or
-beyond", so a single sweep yields every P_n at once.  Boards with
-short rows (trapezoids) are swept as their mirror image: reflected
-left-right, a short row's missing cells become a blocked prefix that
-does not depend on n, and board n+1 is again board n plus one full
-column on the right.
+beyond", so a single sweep yields every P_n at once.  A board is its
+row shortfalls: row r has n - shortfalls[r] cells.  Boards with short
+rows (trapezoids) are swept as their mirror image: reflected
+left-right, row r's missing cells become a blocked prefix of
+shortfalls[r] columns that does not depend on n, and board n+1 is
+again board n plus one full column on the right.
 
 weight_snapshots yields the snapshots one at a time: a caller that
 turns each P_n into a count and drops it holds one column's profiles
@@ -88,53 +89,40 @@ from .tiles import ShiftSpec, Tile, UNIT_WEIGHT, enumerate_tiles, ring_for
 
 PACK_BITS = 16
 
-RECTANGLE = "rectangle"
-TRAPEZOID3 = "trapezoid3"
+
+class LaneOverflowError(ValueError):
+    """The board is too long for the packed exponent lanes."""
 
 
 @dataclass(frozen=True)
 class BoardShape:
-    """Row count plus the rule giving each row's length at size n."""
+    """Row r has n - shortfalls[r] cells at board size n; the series
+    starts at n = min_n."""
 
-    kind: str
-    rows: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in (RECTANGLE, TRAPEZOID3):
-            raise ValueError(f"unknown board kind {self.kind!r}")
-        if self.kind == TRAPEZOID3 and self.rows != 3:
-            raise ValueError("trapezoid boards have exactly 3 rows")
-        if self.kind == RECTANGLE and self.rows not in (2, 3):
-            raise ValueError(f"rectangle boards have 2 or 3 rows, got {self.rows}")
+    shortfalls: tuple[int, ...]
+    min_n: int = 0
 
     @property
-    def min_n(self) -> int:
-        return 3 if self.kind == TRAPEZOID3 else 0
-
-    def shortfall(self, r: int) -> int:
-        """How many cells row r is shorter than the board width n."""
-        if not 0 <= r < self.rows:
-            raise ValueError(f"row {r} out of range")
-        return r if self.kind == TRAPEZOID3 else 0
-
-    def row_length(self, r: int, n: int) -> int:
-        return n - self.shortfall(r)
+    def rows(self) -> int:
+        return len(self.shortfalls)
 
     def row_lengths(self, n: int) -> tuple[int, ...]:
-        return tuple(self.row_length(r, n) for r in range(self.rows))
+        return tuple(n - s for s in self.shortfalls)
 
     def blocked_flags(self, column: int) -> tuple[bool, ...]:
         """Rows without a cell in this column of the mirrored board,
         where each short row is missing a prefix, not a suffix."""
-        return tuple(column < self.shortfall(r) for r in range(self.rows))
+        return tuple(column < s for s in self.shortfalls)
 
 
 def rectangle(rows: int) -> BoardShape:
-    return BoardShape(RECTANGLE, rows)
+    if rows not in (2, 3):
+        raise ValueError(f"rectangle boards have 2 or 3 rows, got {rows}")
+    return BoardShape((0,) * rows)
 
 
 def trapezoid3() -> BoardShape:
-    return BoardShape(TRAPEZOID3, 3)
+    return BoardShape((0, 1, 2), min_n=3)
 
 
 @dataclass(frozen=True)
@@ -336,10 +324,13 @@ def weight_snapshots(
     of its mirror image with the same weights.
     """
     if n_max * board.rows >= 1 << PACK_BITS:
-        raise ValueError(f"n_max={n_max} overflows the packed exponent lanes")
+        raise LaneOverflowError(
+            f"n_max={n_max} overflows the packed exponent lanes: "
+            f"{board.rows}-row boards stop at n={((1 << PACK_BITS) - 1) // board.rows}"
+        )
     if n_max < board.min_n:
-        raise ValueError(f"{board.kind} series starts at n={board.min_n}")
-    if any(board.blocked_flags(0)):
+        raise ValueError(f"this board's series starts at n={board.min_n}")
+    if any(board.shortfalls):
         tiles = [
             Tile(tuple(sorted((t.width - 1 - dx, r) for dx, r in t.cells)),
                  t.coefficient, t.weight)

@@ -222,18 +222,6 @@ class WeightPolynomial:
             self._hash = hash((self.ring, frozenset(self._terms.items())))
         return self._hash
 
-    def evaluate(self, values: Mapping[str, int]) -> int:
-        """Exact integer evaluation; every variable must be given."""
-        point = [values[v] for v in self.ring.variables]
-        total = 0
-        for e, c in self._terms.items():
-            t = c
-            for base, exp in zip(point, e):
-                if exp:
-                    t *= base**exp
-            total += t
-        return total
-
     # -- rendering -----------------------------------------------------
 
     def canonical_str(self) -> str:
@@ -487,9 +475,6 @@ class RationalKernel:
         n1, d1 = self.to_bivariate()
         n2, d2 = other.to_bivariate()
         return n1 * d2 == n2 * d1
-
-    def __hash__(self) -> int:
-        return hash((self.ring, self.series_var, self.num, self.den))
 
     def canonical_str(self) -> str:
         return f"({_series_str(self.num, self.series_var)}) / ({_series_str(self.den, self.series_var)})"

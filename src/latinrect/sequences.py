@@ -48,7 +48,6 @@ class Family:
     oracle: Callable[[ShiftSpec, int], int]
     oracle_cap: int
     default_depth: int
-    first_n: int
 
 
 FAMILIES = {
@@ -60,7 +59,7 @@ FAMILIES = {
             board=rectangle(2),
             umbral=umbra.UmbralKind.TWO_ROW,
             oracle=lambda spec, n: oracle.count_generalized_perms(spec.s12, n),
-            oracle_cap=oracle.MAX_N_TWO_ROWS, default_depth=7, first_n=1,
+            oracle_cap=oracle.MAX_N_TWO_ROWS, default_depth=7,
         ),
         Family(
             name=GLR3,
@@ -68,7 +67,7 @@ FAMILIES = {
             board=rectangle(3),
             umbral=umbra.UmbralKind.THREE_ROW_RECTANGLE,
             oracle=lambda spec, n: oracle.count_glr3(spec.s12, spec.s13, spec.s23, n),
-            oracle_cap=oracle.MAX_N_THREE_ROWS, default_depth=5, first_n=1,
+            oracle_cap=oracle.MAX_N_THREE_ROWS, default_depth=5,
         ),
         Family(
             name=TRAPEZOID,
@@ -76,7 +75,7 @@ FAMILIES = {
             board=trapezoid3(),
             umbral=umbra.UmbralKind.THREE_ROW_TRAPEZOID,
             oracle=lambda spec, n: oracle.count_trapezoid3(n),
-            oracle_cap=oracle.MAX_N_TRAPEZOID, default_depth=7, first_n=3,
+            oracle_cap=oracle.MAX_N_TRAPEZOID, default_depth=7,
         ),
     )
 }
@@ -102,7 +101,7 @@ class SequenceRecord:
     provenance: str
     engine_version: str
     duration_seconds: float
-    #: P_n for n <= JobSpec.series_to from the same sweep; not serialised
+    #: P_n for n <= series_to from the same sweep; not serialised
     series: dict[int, WeightPolynomial] = field(default_factory=dict, compare=False)
 
     @property
@@ -130,31 +129,6 @@ class SequenceRecord:
             "duration_seconds": self.duration_seconds,
         }
 
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "SequenceRecord":
-        return cls(
-            family=data["family"],
-            params=dict(data["params"]),
-            offset=int(data["offset"]),
-            terms=[int(t) for t in data["terms"]],
-            reduced=bool(data["reduced"]),
-            provenance=data["provenance"],
-            engine_version=data["engine_version"],
-            duration_seconds=float(data["duration_seconds"]),
-        )
-
-
-@dataclass(frozen=True)
-class JobSpec:
-    """What to compute; the CLI builds one of these per invocation."""
-
-    family: str
-    params: dict[str, Any] = field(default_factory=dict)
-    n_terms: int = 10
-    oracle_depth: int | None = None
-    #: also hand back P_n for n <= this in SequenceRecord.series
-    series_to: int | None = None
-
 
 def run_family(
     family: Family,
@@ -163,10 +137,11 @@ def run_family(
     oracle_depth: int | None = None,
     series_to: int | None = None,
 ) -> SequenceRecord:
-    """Terms n = first_n .. first_n+n_terms-1 of one engine family,
-    the prefix through oracle_depth checked against the oracle.  Each
-    P_n is evaluated and checked as the sweep yields it, then dropped
-    unless n <= series_to (the sweep runs on to series_to if needed)."""
+    """Terms n = first .. first+n_terms-1 of one engine family, first
+    being the smallest non-empty board, the prefix through oracle_depth
+    checked against the oracle.  Each P_n is evaluated and checked as
+    the sweep yields it, then dropped unless n <= series_to (the sweep
+    runs on to series_to if needed)."""
     t0 = time.perf_counter()
     depth = family.default_depth if oracle_depth is None else oracle_depth
     if depth > family.oracle_cap:
@@ -177,14 +152,15 @@ def run_family(
     params = {k: sorted(set(v)) for k, v in params.items()}
     spec = family.spec(params)
     tiles = enumerate_tiles(spec)
-    n_max = family.first_n + n_terms - 1
+    first = max(family.board.min_n, 1)
+    n_max = first + n_terms - 1
     keep = -1 if series_to is None else series_to
     terms: list[int] = []
     series: dict[int, WeightPolynomial] = {}
     for n, p in weight_snapshots(tiles, family.board, max(n_max, keep)):
         if n <= keep:
             series[n] = p
-        if not family.first_n <= n <= n_max:
+        if not first <= n <= n_max:
             continue
         term = umbra.umbral_eval(family.umbral, p, n)
         terms.append(term)
@@ -199,7 +175,7 @@ def run_family(
     return SequenceRecord(
         family=family.name,
         params=params,
-        offset=family.first_n,
+        offset=first,
         terms=terms,
         reduced=True,
         provenance="engine",
@@ -263,12 +239,18 @@ def apply_total(record: SequenceRecord) -> SequenceRecord:
     return replace(record, terms=terms, reduced=False)
 
 
-def run_job(job: JobSpec) -> SequenceRecord:
-    if job.n_terms < 1:
-        raise ValueError(f"need at least one term, got {job.n_terms}")
-    if job.family == TRIANGLE:
-        return triangle_seq(job.n_terms)
-    if job.family in FAMILIES:
-        return run_family(FAMILIES[job.family], job.params, job.n_terms,
-                          job.oracle_depth, job.series_to)
-    raise ValueError(f"unknown family {job.family!r}")
+def run_job(
+    family: str,
+    params: Mapping[str, Iterable[int]],
+    n_terms: int,
+    oracle_depth: int | None = None,
+    series_to: int | None = None,
+) -> SequenceRecord:
+    """One job by family name; the other arguments are run_family's."""
+    if n_terms < 1:
+        raise ValueError(f"need at least one term, got {n_terms}")
+    if family == TRIANGLE:
+        return triangle_seq(n_terms)
+    if family in FAMILIES:
+        return run_family(FAMILIES[family], params, n_terms, oracle_depth, series_to)
+    raise ValueError(f"unknown family {family!r}")

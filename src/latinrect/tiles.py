@@ -31,7 +31,7 @@ umbral operators consume downstream.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .poly import RING_2ROW, RING_3ROW, PolyRing, WeightPolynomial
@@ -77,9 +77,6 @@ class ShiftSpec:
             return self.s13
         return self.s23
 
-    def row_pairs(self) -> list[tuple[int, int]]:
-        return list(itertools.combinations(range(self.rows), 2))
-
     def mirrored(self) -> "ShiftSpec":
         """The same shift sets negated; boards mirror left-right."""
         return ShiftSpec(
@@ -96,19 +93,6 @@ class ShiftSpec:
         if self.rows == 2:
             return f"S={fmt(self.s12)}"
         return f"S12={fmt(self.s12)} S13={fmt(self.s13)} S23={fmt(self.s23)}"
-
-
-@dataclass(frozen=True)
-class EdgeTemplate:
-    """One bad-event shape: upper-row cell at offset 0, lower at the shift."""
-
-    pair: tuple[int, int]
-    shift: int
-
-    @property
-    def cells(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        r, rp = self.pair
-        return ((0, r), (self.shift, rp))
 
 
 @dataclass(frozen=True)
@@ -145,15 +129,6 @@ class Tile:
     def describe(self) -> str:
         body = "+".join(f"({dx},{r})" for dx, r in self.cells)
         return f"{body} coeff={self.coefficient:+d} weight={self.weight}"
-
-
-def build_edges(spec: ShiftSpec) -> tuple[EdgeTemplate, ...]:
-    """Every bad-event shape for the given shift sets, in deterministic order."""
-    out = []
-    for r, rp in spec.row_pairs():
-        for s in sorted(spec.pair_set(r, rp)):
-            out.append(EdgeTemplate(pair=(r, rp), shift=s))
-    return tuple(out)
 
 
 def _available_edges(
@@ -202,8 +177,10 @@ def enumerate_tiles(spec: ShiftSpec) -> tuple[Tile, ...]:
     shapes: set[tuple[tuple[int, int], ...]] = set()
     for r in range(spec.rows):
         shapes.add(((0, r),))
-    for edge in build_edges(spec):
-        shapes.add(_normalize(edge.cells))
+    for r, rp in itertools.combinations(range(spec.rows), 2):
+        for s in spec.pair_set(r, rp):
+            # a bad event: upper-row cell at offset 0, lower at the shift
+            shapes.add(_normalize(((0, r), (s, rp))))
     if spec.rows == 3:
         # a 3-cell component needs two joining edges; generate every
         # way of picking them and let the coefficient count the rest

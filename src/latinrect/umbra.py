@@ -57,14 +57,6 @@ def factorial_table(n_max: int) -> tuple[int, ...]:
     return table[: n_max + 1]
 
 
-def binomial(m: int, j: int) -> int:
-    """C(m, j), zero outside the triangle; m must not be negative
-    unless the whole term vanishes anyway."""
-    if j < 0 or j > m:
-        return 0
-    return math.comb(m, j)
-
-
 def umbral_eval_2row(p: WeightPolynomial) -> int:
     if p.ring != RING_2ROW:
         raise RingMismatchError(f"expected ring {RING_2ROW.variables!r}")
@@ -92,7 +84,7 @@ def _umbral_eval_3(p: WeightPolynomial, n: int, s2: int, s3: int) -> int:
             continue
         total += (
             c
-            * binomial(n - a1, a23)
+            * math.comb(n - a1, a23)
             * fact[a23]
             * (fact[a2 + s2] // fact[s2])
             * (fact[a3 + s3] // fact[s3])

@@ -172,6 +172,9 @@ class TestExitCodes:
         ("gen-der", "--shifts", "0", "-N", "3", "--oracle-depth", "12"),
         ("triangle", "--n", "8"),
         ("triangle", "--n", "9"),
+        # past the packed exponent lanes of the sweep
+        ("glr3", "--s12", "0", "-N", "22000"),
+        ("gen-der", "--shifts", "0", "-N", "33000"),
     ])
     def test_check_past_oracle_cap_is_usage_error(self, runner, args):
         r = invoke(runner, *args)

@@ -58,7 +58,7 @@ def profile_successors(
     k = board.rows
     r = profile.phase
     nxt = (r + 1) % k
-    in_board = True if n is None else column < board.row_length(r, n)
+    in_board = True if n is None else column < board.row_lengths(n)[r]
     if not in_board:
         if profile.mask & 1:
             return []
@@ -219,7 +219,7 @@ class TestBoardShape:
 
     def test_bad_kind(self):
         with pytest.raises(ValueError):
-            BoardShape(kind="cylinder", rows=2)
+            rectangle(4)
 
 
 class TestSeriesTable:
@@ -349,7 +349,7 @@ class TestPackedSweep:
         want = list(reference_snapshots(tiles, board, n_max))
         assert [n for n, _ in got] == [n for n, _ in want]
         for (n, p), (_, q) in zip(got, want):
-            assert p == q, (spec.describe(), board.kind, n)
+            assert p == q, (spec.describe(), board, n)
 
     def test_random_specs(self):
         for spec in random_three_row_specs(2024, 20):

@@ -89,12 +89,6 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             X ** (-1)
 
-    def test_evaluate(self):
-        p = X**2 - 3 * X + 1
-        assert p.evaluate({"x": 5}) == 11
-        q = RING_3ROW.var("x1") * RING_3ROW.var("x23") + 2
-        assert q.evaluate({"x1": 3, "x2": 0, "x3": 0, "x23": 4}) == 14
-
     def test_content_and_leading(self):
         p = 6 * X**2 - 4 * X
         assert p.content() == 2
@@ -243,6 +237,16 @@ class TestRationalKernel:
         den_parts = (num, -(X - 1) * num)
         scaled = RationalKernel(RING_2ROW, "X", (num,), den_parts)
         assert scaled == k
+
+    def test_unhashable(self):
+        # equal as rational functions but stored apart, so no hash can
+        # agree with ==: 1/(1-X) == (1+X)/(1-X^2)
+        one, zero = RING_2ROW.one(), RING_2ROW.zero()
+        k = RationalKernel(RING_2ROW, "X", (one,), (one, -one))
+        other = RationalKernel(RING_2ROW, "X", (one, one), (one, zero, -one))
+        assert k == other
+        with pytest.raises(TypeError):
+            hash(k)
 
     def test_order_and_str(self):
         k = self.geometric()

@@ -58,7 +58,7 @@ def per_n_trapezoid(spec: ShiftSpec, n: int):
     sweep = ReferenceSweep(enumerate_tiles(spec), board)
     dist = {0: {0: 1}}
     for column in range(n):
-        blocked = tuple(column >= board.row_length(r, n) for r in range(board.rows))
+        blocked = tuple(column >= length for length in board.row_lengths(n))
         dist = sweep.advance(dist, blocked)
     return sweep.unpack(dist.get(0, {}))
 

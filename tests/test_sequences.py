@@ -19,9 +19,7 @@ from latinrect.sequences import (
     TRAPEZOID,
     TRAPEZOID_SPEC,
     TRIANGLE,
-    JobSpec,
     OracleMismatchError,
-    SequenceRecord,
     apply_total,
     gen_der_seq,
     glr3_seq,
@@ -148,32 +146,31 @@ class TestJson:
         rec = glr3_seq({0, 1}, set(), {-1}, 4)
         data = rec.to_json_dict()
         assert all(isinstance(t, str) for t in data["terms"])
-        back = SequenceRecord.from_json_dict(data)
-        assert back == rec
+        assert [int(t) for t in data["terms"]] == rec.terms
 
 
 class TestRunJob:
     def test_dispatch(self):
-        rec = run_job(JobSpec(GEN_DER, {"shifts": [0, 1]}, 6))
+        rec = run_job(GEN_DER, {"shifts": [0, 1]}, 6)
         assert rec.terms == MENAGE[:6]
-        rec = run_job(JobSpec(GLR3, {"s12": [0], "s13": [0], "s23": [0]}, 4))
+        rec = run_job(GLR3, {"s12": [0], "s13": [0], "s23": [0]}, 4)
         assert rec.terms == [0, 0, 2, 24]
-        rec = run_job(JobSpec(TRAPEZOID, {}, 3))
+        rec = run_job(TRAPEZOID, {}, 3)
         assert rec.terms == [1, 6, 68]
-        rec = run_job(JobSpec(TRIANGLE, {}, 3))
+        rec = run_job(TRIANGLE, {}, 3)
         assert rec.terms == [1, 0, 4]
 
     def test_total_flag(self):
-        rec = apply_total(run_job(JobSpec(GEN_DER, {"shifts": [0]}, 4)))
+        rec = apply_total(run_job(GEN_DER, {"shifts": [0]}, 4))
         assert rec.terms == [0, 2, 12, 216]
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
-            run_job(JobSpec("hexagon", {}, 3))
+            run_job("hexagon", {}, 3)
 
     def test_zero_terms_rejected(self):
         with pytest.raises(ValueError):
-            run_job(JobSpec(GEN_DER, {"shifts": [0]}, 0))
+            run_job(GEN_DER, {"shifts": [0]}, 0)
 
 
 class TestStreaming:
@@ -194,15 +191,15 @@ class TestStreaming:
     def test_series_handed_back(self):
         family = FAMILIES[TRAPEZOID]
         table = weight_series(enumerate_tiles(TRAPEZOID_SPEC), family.board, 9)
-        short = run_job(JobSpec(TRAPEZOID, {}, 2, series_to=9))
+        short = run_job(TRAPEZOID, {}, 2, series_to=9)
         assert short.terms == [1, 6]  # swept on to n=9, terms stop at N
         assert list(short.series) == list(range(3, 10))
         assert all(short.series[n] == table.poly(n) for n in short.series)
-        assert run_job(JobSpec(TRAPEZOID, {}, 4, series_to=2)).series == {}
-        rec = run_job(JobSpec(GEN_DER, {"shifts": [0]}, 5, series_to=3))
+        assert run_job(TRAPEZOID, {}, 4, series_to=2).series == {}
+        rec = run_job(GEN_DER, {"shifts": [0]}, 5, series_to=3)
         assert list(rec.series) == [0, 1, 2, 3]
         assert "series" not in rec.to_json_dict()
-        assert run_job(JobSpec(GEN_DER, {"shifts": [0]}, 5)).series == {}
+        assert run_job(GEN_DER, {"shifts": [0]}, 5).series == {}
 
     def test_mismatch_raised_before_the_sweep_ends(self, monkeypatch):
         evaluated = []

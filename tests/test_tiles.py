@@ -10,7 +10,6 @@ from latinrect.tiles import (
     UNIT_WEIGHT,
     ShiftSpec,
     Tile,
-    build_edges,
     dump_tiles,
     enumerate_tiles,
     ring_for,
@@ -27,14 +26,12 @@ class TestShiftSpec:
         assert spec.rows == 2
         assert spec.s12 == frozenset({0, 1})
         assert spec.pair_set(0, 1) == frozenset({0, 1})
-        assert spec.row_pairs() == [(0, 1)]
 
     def test_three_rows(self):
         spec = ShiftSpec.three_rows({0}, {-2, 2}, set())
         assert spec.rows == 3
         assert spec.pair_set(0, 2) == frozenset({-2, 2})
         assert spec.pair_set(1, 2) == frozenset()
-        assert spec.row_pairs() == [(0, 1), (0, 2), (1, 2)]
 
     def test_bad_row_count(self):
         with pytest.raises(ValueError):
@@ -133,11 +130,12 @@ class TestEnumerate2Row:
         )
 
     def test_negative_shift_anchors_on_row_one(self):
-        tiles = enumerate_tiles(ShiftSpec.two_rows({-1}))
-        multi = [t for t in tiles if len(t.cells) == 2]
-        assert len(multi) == 1
-        assert multi[0].cells == ((0, 1), (1, 0))
-        assert multi[0].coefficient == -1
+        for shift in (-1, -2):
+            tiles = enumerate_tiles(ShiftSpec.two_rows({shift}))
+            multi = [t for t in tiles if len(t.cells) == 2]
+            assert len(multi) == 1
+            assert multi[0].cells == ((0, 1), (-shift, 0))
+            assert multi[0].coefficient == -1
 
     def test_tile_count_matches_shift_count(self):
         for shifts in ({0}, {0, 1}, {-1, 2}, {-3, -1, 0, 2}):
@@ -198,8 +196,3 @@ class TestMonomials:
         assert by_cells[((0, 0), (0, 1), (0, 2))] == 2 * ring.var("x1")
         assert by_cells[((0, 1), (0, 2))] == -ring.var("x23")
         assert by_cells[((0, 0),)] == ring.one()
-
-    def test_build_edges_cells(self):
-        edges = build_edges(ShiftSpec.two_rows({-2}))
-        assert len(edges) == 1
-        assert edges[0].cells == ((0, 0), (-2, 1))

@@ -11,7 +11,6 @@ import pytest
 from latinrect.poly import RING_2ROW, RING_3ROW
 from latinrect.umbra import (
     UmbralKind,
-    binomial,
     factorial_table,
     umbral_eval,
     umbral_eval_2row,
@@ -42,12 +41,6 @@ class TestHelpers:
         assert factorial_table(0) == (1,)
         with pytest.raises(ValueError):
             factorial_table(-1)
-
-    def test_binomial(self):
-        assert binomial(5, 2) == 10
-        assert binomial(3, 0) == 1
-        assert binomial(2, 3) == 0
-        assert binomial(-1, 0) == 0
 
 
 class TestTwoRow:
@@ -140,7 +133,7 @@ class TestThreeRowShortfalls:
             n = rng.randrange(4, 9)  # no exponent past n, the operators' domain
             rect = trap = 0
             for (a1, a2, a3, a23), c in p.terms():
-                ways = binomial(n - a1, a23) * f(a23) if a23 <= n - a1 else 0
+                ways = math.comb(n - a1, a23) * f(a23) if a23 <= n - a1 else 0
                 rect += c * ways * f(a2) * f(a3)
                 trap += c * ways * f(a2 + 1) * f(a3 + 2) // 2
             assert umbral_eval_3row(p, n) == rect

@@ -8,10 +8,12 @@ shift set S replaced by -S, in every output format its command takes
 the command has that option, plus `--help` of the CLI and of every
 command.  The benchmark's oracle depths stop short of the caps, so the
 DEEP_ORACLE jobs also run, in plain format: each family's brute-force
-counter at or near its cap, about 20 s per checkout.  Each command
-line runs as a fresh `python3 -m latinrect.cli` process on this
-checkout's source and on PARENT_DIR's.  stdout,
-stderr and exit code must match; a JSON record is compared without
+counter at or near its cap, about 20 s per checkout.  One small job
+per engine command also runs with `--total` and with `--dump-tiles`,
+and two requests past an oracle cap check the usage error (exit 2).
+Each command line runs as a fresh `python3 -m latinrect.cli` process
+on this checkout's source and on PARENT_DIR's.  stdout, stderr and
+exit code must match; a JSON record is compared without
 its `duration_seconds`, the one field that differs from run to run.
 Prints each command line that differs and exits 1 if there is one,
 0 otherwise.  perfbench/ is only read.
@@ -41,6 +43,15 @@ DEEP_ORACLE = (
     ("trapezoid", "-N", "7", "--oracle-depth", "9"),
     ("triangle", "--n", "7"),
 )
+FLAG_JOBS = (
+    ("gen-der", "--shifts", "0,1", "-N", "12"),
+    ("glr3", *SUPER, "-N", "6"),
+    ("trapezoid", "-N", "6"),
+)
+USAGE_ERRORS = (
+    ("trapezoid", "-N", "3", "--oracle-depth", "20"),
+    ("triangle", "--n", "8"),
+)
 
 
 def command_lines() -> list[tuple[str, ...]]:
@@ -55,7 +66,8 @@ def command_lines() -> list[tuple[str, ...]]:
                         lines.append((*args, "-f", fmt, "--dump-series", "8"))
     for job in DEEP_ORACLE:
         lines += [(*args, "-f", "plain") for args in dict.fromkeys((job, mirrored(job)))]
-    return lines
+    lines += [(*job, flag) for job in FLAG_JOBS for flag in ("--total", "--dump-tiles")]
+    return lines + list(USAGE_ERRORS)
 
 
 def run(checkout: Path, args: tuple[str, ...]) -> tuple[int, bytes, bytes]:
