@@ -130,12 +130,11 @@ class TestEnumerate2Row:
         )
 
     def test_negative_shift_anchors_on_row_one(self):
-        for shift in (-1, -2):
-            tiles = enumerate_tiles(ShiftSpec.two_rows({shift}))
-            multi = [t for t in tiles if len(t.cells) == 2]
-            assert len(multi) == 1
-            assert multi[0].cells == ((0, 1), (-shift, 0))
-            assert multi[0].coefficient == -1
+        tiles = enumerate_tiles(ShiftSpec.two_rows({-1}))
+        multi = [t for t in tiles if len(t.cells) == 2]
+        assert len(multi) == 1
+        assert multi[0].cells == ((0, 1), (1, 0))
+        assert multi[0].coefficient == -1
 
     def test_tile_count_matches_shift_count(self):
         for shifts in ({0}, {0, 1}, {-1, 2}, {-3, -1, 0, 2}):
@@ -196,3 +195,12 @@ class TestMonomials:
         assert by_cells[((0, 0), (0, 1), (0, 2))] == 2 * ring.var("x1")
         assert by_cells[((0, 1), (0, 2))] == -ring.var("x23")
         assert by_cells[((0, 0),)] == ring.one()
+
+    def test_build_edges_cells(self):
+        # the {-2} spec's one edge joins (0,0) in row 0 to (-2,1) in
+        # row 1; its tile is that edge re-anchored on the row-1 cell
+        tiles = enumerate_tiles(ShiftSpec.two_rows({-2}))
+        multi = [t for t in tiles if len(t.cells) == 2]
+        assert len(multi) == 1
+        assert multi[0].cells == ((0, 1), (2, 0))
+        assert multi[0].coefficient == -1
