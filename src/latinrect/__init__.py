@@ -21,7 +21,6 @@ from .tiles import (
     enumerate_tiles,
     ring_for,
     tile_coefficient,
-    tile_monomial,
 )
 from .dp import (
     BoardShape,

@@ -3,7 +3,8 @@
 Exit codes: 0 success (including an OEIS match when one was asked
 for); 1 unexpected error; 2 usage error; 3 engine/oracle mismatch;
 4 OEIS mismatch; 5 OEIS check unverifiable (offline with no cache,
-or no overlapping terms).  A requested check never passes silently.
+a cached b-file that does not parse, or no overlapping terms).  A
+requested check never passes silently.
 """
 
 from __future__ import annotations

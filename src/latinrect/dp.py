@@ -80,7 +80,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .poly import (
     RING_KERNEL,
-    PolyRing,
     RationalKernel,
     WeightPolynomial,
     solve_linear_system,
@@ -129,7 +128,6 @@ def trapezoid3() -> BoardShape:
 class SeriesTable:
     """Weight polynomials P_n for n = first_n .. first_n+len-1."""
 
-    ring: PolyRing
     first_n: int
     polys: tuple[WeightPolynomial, ...]
 
@@ -142,10 +140,6 @@ class SeriesTable:
     @property
     def last_n(self) -> int:
         return self.first_n + len(self.polys) - 1
-
-    def __iter__(self) -> Iterator[tuple[int, WeightPolynomial]]:
-        for i, p in enumerate(self.polys):
-            yield self.first_n + i, p
 
 
 class _Sweep:
@@ -353,7 +347,7 @@ def weight_series(
     """All of weight_snapshots in one table, every P_n alive at once;
     a caller that uses each P_n once should iterate the snapshots."""
     polys = tuple(p for _, p in weight_snapshots(tiles, board, n_max))
-    return SeriesTable(ring=ring_for(board.rows), first_n=board.min_n, polys=polys)
+    return SeriesTable(first_n=board.min_n, polys=polys)
 
 
 def kernel2(shifts: Iterable[int]) -> RationalKernel:
@@ -391,5 +385,5 @@ def kernel2(shifts: Iterable[int]) -> RationalKernel:
             # exponent lane 0 is the x degree; X carries the column count
             amat[i][j] = amat[i][j] - WeightPolynomial(ring, {(delta, 1): cf})
     rhs = [ring.one() if i == 0 else zero for i in range(nstates)]
-    num, den = solve_linear_system(amat, rhs, components=(0,))[0]
+    num, den = solve_linear_system(amat, rhs, 0)
     return RationalKernel.from_bivariate(num, den, "X")

@@ -3,8 +3,9 @@ and compare a computed record against catalog terms.
 
 Comparison never silently passes: the report says how many indexed
 terms overlapped and where the first divergence sits, and a fetch
-that cannot happen (offline with a cold cache) comes back as status
-"unverifiable" rather than as a success.
+that cannot happen (offline with a cold cache) or a cached b-file
+that does not parse comes back as status "unverifiable" rather than
+as a success.  Only a download that parses is cached.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from typing import Mapping
 from .sequences import SequenceRecord
 
 CACHE_ENV_VAR = "LATINRECT_OEIS_CACHE"
+#: seconds a download may take before the check is unverifiable
+FETCH_TIMEOUT_S = 20.0
 
 MATCH = "match"
 MISMATCH = "mismatch"
@@ -78,22 +81,18 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "latinrect" / "oeis"
 
 
-def cache_path(oeis_id: str, cache_dir: Path | None = None) -> Path:
-    base = cache_dir if cache_dir is not None else default_cache_dir()
-    return base / f"b{canonical_id(oeis_id)[1:]}.txt"
+def cache_path(oeis_id: str) -> Path:
+    return default_cache_dir() / f"b{canonical_id(oeis_id)[1:]}.txt"
 
 
-def fetch_bfile(
-    oeis_id: str,
-    cache_dir: Path | None = None,
-    offline: bool = False,
-    timeout: float = 20.0,
-) -> str:
+def fetch_bfile(oeis_id: str, offline: bool = False) -> str:
     """Return b-file text, from cache when present.  A fresh download
-    lands in the cache so later runs work offline."""
-    path = cache_path(oeis_id, cache_dir)
+    that parses lands in the cache so later runs work offline; one
+    that does not (an error page, a cut-off transfer) is not cached."""
+    path = cache_path(oeis_id)
     if path.exists():
-        return path.read_text()
+        # bytes that are not UTF-8 fail the parse, which names their line
+        return path.read_text(errors="replace")
     if offline:
         raise OeisUnavailableError(f"offline and no cached b-file at {path}")
     import urllib.error
@@ -101,12 +100,22 @@ def fetch_bfile(
 
     url = bfile_url(oeis_id)
     try:
-        with urllib.request.urlopen(url, timeout=timeout) as resp:
+        with urllib.request.urlopen(url, timeout=FETCH_TIMEOUT_S) as resp:
             text = resp.read().decode("utf-8")
     except (urllib.error.URLError, OSError, ValueError) as exc:
         raise OeisUnavailableError(f"could not fetch {url}: {exc}") from exc
+    try:
+        parse_bfile(text)
+    except BFileFormatError as exc:
+        raise OeisUnavailableError(f"{url} is not a b-file: {exc}") from exc
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    # a reader never sees a half-written cache file
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return text
 
 
@@ -123,18 +132,24 @@ class OeisReport:
         return f"{head} -- {self.detail}" if self.detail else head
 
 
+def _unverifiable(oeis_id: str, detail: str) -> OeisReport:
+    return OeisReport(
+        oeis_id=oeis_id,
+        status=UNVERIFIABLE,
+        terms_compared=0,
+        first_divergence=None,
+        detail=detail,
+    )
+
+
 def compare_terms(
     record: SequenceRecord, reference: Mapping[int, int], oeis_id: str
 ) -> OeisReport:
     """Compare on the overlap of indices; no overlap is unverifiable."""
     overlap = [n for n, _ in record.indexed_terms() if n in reference]
     if not overlap:
-        return OeisReport(
-            oeis_id=oeis_id,
-            status=UNVERIFIABLE,
-            terms_compared=0,
-            first_divergence=None,
-            detail=f"no overlapping indices (record {record.offset}..{record.last_n})",
+        return _unverifiable(
+            oeis_id, f"no overlapping indices (record {record.offset}..{record.last_n})"
         )
     for n in overlap:
         if record.term(n) != reference[n]:
@@ -154,21 +169,17 @@ def compare_terms(
     )
 
 
-def oeis_check(
-    record: SequenceRecord,
-    oeis_id: str,
-    cache_dir: Path | None = None,
-    offline: bool = False,
-) -> OeisReport:
+def oeis_check(record: SequenceRecord, oeis_id: str, offline: bool = False) -> OeisReport:
     oeis_id = canonical_id(oeis_id)
     try:
-        text = fetch_bfile(oeis_id, cache_dir=cache_dir, offline=offline)
+        text = fetch_bfile(oeis_id, offline=offline)
     except OeisUnavailableError as exc:
-        return OeisReport(
-            oeis_id=oeis_id,
-            status=UNVERIFIABLE,
-            terms_compared=0,
-            first_divergence=None,
-            detail=str(exc),
+        return _unverifiable(oeis_id, str(exc))
+    try:
+        reference = parse_bfile(text)
+    except BFileFormatError as exc:
+        return _unverifiable(
+            oeis_id, f"cached b-file {cache_path(oeis_id)} does not parse, {exc}; "
+            "delete it to fetch again"
         )
-    return compare_terms(record, parse_bfile(text), oeis_id)
+    return compare_terms(record, reference, oeis_id)

@@ -9,8 +9,8 @@ never stored.
 
 The module also carries the fraction-free linear algebra used to turn
 a transfer-matrix system into a rational generating function: one
-fraction-free Bareiss elimination for determinants and Cramer pairs
-(all divisions exact, no fractions ever materialize) and a
+fraction-free Bareiss elimination for Cramer pairs (all divisions
+exact, no fractions ever materialize) and a
 RationalKernel wrapper that expands num/den into a weight-polynomial
 series via the induced linear recurrence.
 """
@@ -87,7 +87,7 @@ RING_KERNEL = PolyRing(("x", "X"))
 class WeightPolynomial:
     """Immutable sparse polynomial with integer coefficients."""
 
-    __slots__ = ("ring", "_terms", "_hash")
+    __slots__ = ("ring", "_terms")
 
     def __init__(self, ring: PolyRing, terms: Mapping[tuple[int, ...], int]):
         clean: dict[tuple[int, ...], int] = {}
@@ -100,14 +100,13 @@ class WeightPolynomial:
             clean[exps] = c
         self.ring = ring
         self._terms = clean
-        self._hash: int | None = None
 
     @classmethod
     def trusted(cls, ring: PolyRing, terms: dict) -> "WeightPolynomial":
         """Adopt terms known clean (nonzero coefficients, non-negative
         exponent tuples of length ring.nvars): no check, no copy."""
         p = cls.__new__(cls)
-        p.ring, p._terms, p._hash = ring, terms, None
+        p.ring, p._terms = ring, terms
         return p
 
     # -- inspection ----------------------------------------------------
@@ -217,11 +216,6 @@ class WeightPolynomial:
             return NotImplemented
         return self.ring == other.ring and self._terms == other._terms
 
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.ring, frozenset(self._terms.items())))
-        return self._hash
-
     # -- rendering -----------------------------------------------------
 
     def canonical_str(self) -> str:
@@ -289,25 +283,21 @@ def exact_divide(num: WeightPolynomial, den: WeightPolynomial) -> WeightPolynomi
 
 def bareiss_determinant(
     matrix: Sequence[Sequence[WeightPolynomial]],
-    rhs: Sequence[WeightPolynomial] | None = None,
-) -> WeightPolynomial | tuple[WeightPolynomial, WeightPolynomial]:
-    """Exact determinant by fraction-free elimination.
+    rhs: Sequence[WeightPolynomial],
+) -> tuple[WeightPolynomial, WeightPolynomial]:
+    """Eliminate [A | rhs] fraction-free and return the pair (det of A
+    with its last column replaced by rhs, det A): the last rhs entry
+    and the last pivot, under the same row-swap sign.
 
     Every intermediate entry is a minor of the input, and each
     division by the previous pivot is exact; a failed division would
     signal corruption, so it raises instead of rounding.
-
-    With `rhs`, [A | rhs] is eliminated and the result is the pair
-    (det of A with its last column replaced by rhs, det A): the last
-    rhs entry and the last pivot, under the same row-swap sign.
     """
     n = len(matrix)
     if n == 0:
         raise ValueError("empty matrix")
     ring = matrix[0][0].ring
-    m = [list(row) for row in matrix]
-    if rhs is not None:
-        m = [[*row, b] for row, b in zip(m, rhs)]
+    m = [[*row, b] for row, b in zip(matrix, rhs)]
     prev = ring.one()
     sign = 1
     for k in range(n - 1):
@@ -322,7 +312,7 @@ def bareiss_determinant(
                 best = weight
                 piv = r
         if piv is None:
-            return ring.zero() if rhs is None else (ring.zero(), ring.zero())
+            return ring.zero(), ring.zero()
         if piv != k:
             m[k], m[piv] = m[piv], m[k]
             sign = -sign
@@ -334,37 +324,29 @@ def bareiss_determinant(
                 row_i[j] = exact_divide(pivot * row_i[j] - fac * row_k[j], prev)
             row_i[k] = ring.zero()
         prev = pivot
-    last = [e if sign == 1 else -e for e in m[n - 1][n - 1:]]
-    return last[0] if rhs is None else (last[1], last[0])
+    det, num = m[n - 1][n - 1:]
+    return (num, det) if sign == 1 else (-num, -det)
 
 
 def solve_linear_system(
     matrix: Sequence[Sequence[WeightPolynomial]],
     rhs: Sequence[WeightPolynomial],
-    components: Sequence[int] | None = None,
-) -> list[tuple[WeightPolynomial, WeightPolynomial]]:
-    """Solve A*g = rhs exactly over a polynomial ring.
+    i: int,
+) -> tuple[WeightPolynomial, WeightPolynomial]:
+    """Unknown i of A*g = rhs, solved exactly over a polynomial ring.
 
-    Cramer's rule on fraction-free determinants: component i comes
-    back as the pair (det of A with column i replaced by rhs, det A).
-    Each pair costs one elimination of [A | rhs] with column i moved
-    last, which scales both determinants by the same sign.  The
-    pairs are exact but not reduced to lowest terms.  Passing
-    `components` restricts the work to those unknowns; the returned
-    list follows the requested order.
+    Cramer's rule on fraction-free determinants: the pair (det of A
+    with column i replaced by rhs, det A), from one elimination of
+    [A | rhs] with column i moved last, which scales both
+    determinants by the same sign.  The pair is exact but not
+    reduced to lowest terms.
     """
     n = len(matrix)
-    if n == 0:
-        return []
-    wanted = range(n) if components is None else components
-    out = []
-    for i in wanted:
-        moved = [[*row[:i], *row[i + 1:], row[i]] for row in matrix]
-        num, det = bareiss_determinant(moved, rhs)
-        if det.is_zero():
-            raise SingularSystemError("transfer system is singular")
-        out.append((num, det) if (n - 1 - i) % 2 == 0 else (-num, -det))
-    return out
+    moved = [[*row[:i], *row[i + 1:], row[i]] for row in matrix]
+    num, det = bareiss_determinant(moved, rhs)
+    if det.is_zero():
+        raise SingularSystemError("transfer system is singular")
+    return (num, det) if (n - 1 - i) % 2 == 0 else (-num, -det)
 
 
 class RationalKernel:

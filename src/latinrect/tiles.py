@@ -34,7 +34,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .poly import RING_2ROW, RING_3ROW, PolyRing, WeightPolynomial
+from .poly import RING_2ROW, RING_3ROW, PolyRing
 
 UNIT_WEIGHT = "1"
 
@@ -76,15 +76,6 @@ class ShiftSpec:
         if (r, rp) == (0, 2):
             return self.s13
         return self.s23
-
-    def mirrored(self) -> "ShiftSpec":
-        """The same shift sets negated; boards mirror left-right."""
-        return ShiftSpec(
-            rows=self.rows,
-            s12=frozenset(-s for s in self.s12),
-            s13=frozenset(-s for s in self.s13),
-            s23=frozenset(-s for s in self.s23),
-        )
 
     def describe(self) -> str:
         def fmt(s: frozenset[int]) -> str:
@@ -213,18 +204,6 @@ def ring_for(rows: int) -> PolyRing:
     if rows == 3:
         return RING_3ROW
     raise ValueError(f"no weight ring for {rows} rows")
-
-
-def weight_exponents(tag: str, ring: PolyRing) -> tuple[int, ...]:
-    if tag == UNIT_WEIGHT:
-        return (0,) * ring.nvars
-    exps = [0] * ring.nvars
-    exps[ring.index(tag)] = 1
-    return tuple(exps)
-
-
-def tile_monomial(tile: Tile, ring: PolyRing) -> WeightPolynomial:
-    return WeightPolynomial(ring, {weight_exponents(tile.weight, ring): tile.coefficient})
 
 
 def dump_tiles(tiles: Iterable[Tile]) -> str:

@@ -18,11 +18,12 @@ only.  In the three-row rectangle a1 counts labels committed by tiles
 touching row 0, a23 counts tiles pairing rows 1 and 2 (their shared
 label is chosen among the n-a1 uncommitted ones, in order, hence the
 binomial times a23!), and the a2 free row-1 cells and a3 free row-2
-cells take their leftover labels independently.  The trapezoid rows 1 and 2 are short by one
-and two cells, which leaves one and two extra labels: the falling
-factorials (a2+1)!/1! and (a3+2)!/2! replace a2! and a3!, so both
-three-row operators are one loop over the row shortfalls (0, 0) or
-(1, 2).  That derivation is spelled out in docs/trapezoid_operator.md.
+cells take their leftover labels independently.  The trapezoid rows
+1 and 2 are short by one and two cells, which leaves one and two
+extra labels: the falling factorials (a2+1)!/1! and (a3+2)!/2!
+replace a2! and a3!, so both three-row operators are one loop over
+the row shortfalls (0, 0) or (1, 2).  That derivation is spelled out
+in docs/trapezoid_operator.md.
 """
 
 from __future__ import annotations

@@ -17,12 +17,21 @@ from latinrect.cli import (
     EXIT_ORACLE_MISMATCH,
     main,
 )
-from latinrect.oeis import cache_path, parse_bfile
+from latinrect.oeis import CACHE_ENV_VAR, cache_path, parse_bfile
 
 
 @pytest.fixture()
 def runner():
     return CliRunner()
+
+
+@pytest.fixture()
+def cached_271(tmp_path, monkeypatch, fixture_dir):
+    """The menage b-file, alone in a fresh OEIS cache."""
+    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
+    target = cache_path("271")
+    target.write_text((fixture_dir / "b000271.txt").read_text())
+    return target
 
 
 def invoke(runner, *args, env=None):
@@ -182,23 +191,15 @@ class TestExitCodes:
         assert "capped at n=" in r.stderr or "stop at n=" in r.stderr
         assert r.stdout == ""
 
-    def test_oeis_match_is_0(self, runner, tmp_path, fixture_dir):
-        target = cache_path("271", tmp_path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text((fixture_dir / "b000271.txt").read_text())
+    def test_oeis_match_is_0(self, runner, cached_271):
         r = invoke(runner, "gen-der", "--shifts", "0,1", "-N", "8",
-                   "--oeis", "271", "--offline",
-                   env={"LATINRECT_OEIS_CACHE": str(tmp_path)})
+                   "--oeis", "271", "--offline")
         assert r.exit_code == 0
         assert "MATCH" in r.stderr
 
-    def test_oeis_mismatch_is_4(self, runner, tmp_path, fixture_dir):
-        target = cache_path("271", tmp_path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text((fixture_dir / "b000271.txt").read_text())
+    def test_oeis_mismatch_is_4(self, runner, cached_271):
         r = invoke(runner, "gen-der", "--shifts", "0", "-N", "8",
-                   "--oeis", "271", "--offline",
-                   env={"LATINRECT_OEIS_CACHE": str(tmp_path)})
+                   "--oeis", "271", "--offline")
         assert r.exit_code == EXIT_OEIS_MISMATCH
 
     def test_oeis_cold_cache_offline_is_5(self, runner, tmp_path):
@@ -207,13 +208,23 @@ class TestExitCodes:
                    env={"LATINRECT_OEIS_CACHE": str(tmp_path / "empty")})
         assert r.exit_code == EXIT_OEIS_UNVERIFIABLE
 
-    def test_oeis_compares_reduced_terms_under_total(self, runner, tmp_path, fixture_dir):
-        target = cache_path("271", tmp_path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text((fixture_dir / "b000271.txt").read_text())
+    @pytest.mark.parametrize("data, line", [
+        (b"<html>rate limited</html>\n", 1),
+        (b"1 0\n2 0\n3 1\n4 ", 4),  # a transfer cut off mid-line
+        (b"1 0\n2 \xff\xfe\n", 2),
+    ], ids=["html", "truncated", "not-utf8"])
+    def test_oeis_malformed_cache_is_5(self, runner, cached_271, data, line):
+        # the runner re-raises, so a traceback would fail the test
+        cached_271.write_bytes(data)
+        r = invoke(runner, "gen-der", "--shifts", "0,1", "-N", "5",
+                   "--oeis", "271", "--offline")
+        assert r.exit_code == EXIT_OEIS_UNVERIFIABLE
+        assert f"{cached_271} does not parse, line {line}:" in r.stderr
+        assert r.stdout == "1 0\n2 0\n3 1\n4 3\n5 16\n"
+
+    def test_oeis_compares_reduced_terms_under_total(self, runner, cached_271):
         r = invoke(runner, "gen-der", "--shifts", "0,1", "-N", "8", "--total",
-                   "--oeis", "271", "--offline",
-                   env={"LATINRECT_OEIS_CACHE": str(tmp_path)})
+                   "--oeis", "271", "--offline")
         assert r.exit_code == 0
         assert r.stdout.splitlines()[2] == "3 6"  # 1 * 3!
 

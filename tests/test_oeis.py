@@ -96,6 +96,21 @@ class TestCompare:
         assert report.terms_compared == 0
 
 
+@pytest.fixture()
+def cache(tmp_path, monkeypatch):
+    """A fresh, empty OEIS cache directory."""
+    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
+    return tmp_path
+
+
+class FakeResponse(io.BytesIO):
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+
 class TestCache:
     def test_env_var_controls_default_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "oc"))
@@ -103,71 +118,68 @@ class TestCache:
         monkeypatch.delenv(CACHE_ENV_VAR)
         assert "latinrect" in str(default_cache_dir())
 
-    def test_cache_path_naming(self, tmp_path):
-        assert cache_path("271", tmp_path) == tmp_path / "b000271.txt"
+    def test_cache_path_naming(self, cache):
+        assert cache_path("271") == cache / "b000271.txt"
 
-    def test_cache_hit_no_network(self, tmp_path, monkeypatch):
+    def test_cache_hit_no_network(self, cache, monkeypatch):
         def explode(*a, **k):
             raise AssertionError("network touched despite cache hit")
 
         monkeypatch.setattr(urllib.request, "urlopen", explode)
-        cache_path("271", tmp_path).parent.mkdir(parents=True, exist_ok=True)
-        cache_path("271", tmp_path).write_text("1 0\n2 0\n3 1\n")
-        assert parse_bfile(fetch_bfile("271", cache_dir=tmp_path)) == {1: 0, 2: 0, 3: 1}
+        cache_path("271").write_text("1 0\n2 0\n3 1\n")
+        assert parse_bfile(fetch_bfile("271")) == {1: 0, 2: 0, 3: 1}
 
-    def test_offline_cold_cache_raises(self, tmp_path):
+    def test_offline_cold_cache_raises(self, cache):
         with pytest.raises(OeisUnavailableError):
-            fetch_bfile("271", cache_dir=tmp_path, offline=True)
+            fetch_bfile("271", offline=True)
 
-    def test_download_populates_cache(self, tmp_path, monkeypatch):
-        class FakeResponse(io.BytesIO):
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
+    def test_download_populates_cache(self, cache, monkeypatch):
         def fake_urlopen(url, timeout=0):
             assert url == bfile_url("271")
             return FakeResponse(b"# header\n1 0\n2 0\n3 1\n")
 
         monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
-        text = fetch_bfile("271", cache_dir=tmp_path)
+        text = fetch_bfile("271")
         assert "3 1" in text
-        assert cache_path("271", tmp_path).exists()
+        assert [p.name for p in cache.iterdir()] == ["b000271.txt"]
         # second fetch comes from disk even with the network gone
         monkeypatch.setattr(urllib.request, "urlopen", None)
-        assert fetch_bfile("271", cache_dir=tmp_path) == text
+        assert fetch_bfile("271") == text
 
-    def test_network_failure_wrapped(self, tmp_path, monkeypatch):
+    def test_download_that_does_not_parse_is_not_cached(self, cache, monkeypatch):
+        def rate_limited(url, timeout=0):
+            return FakeResponse(b"<html>rate limited</html>\n")
+
+        monkeypatch.setattr(urllib.request, "urlopen", rate_limited)
+        with pytest.raises(OeisUnavailableError, match="not a b-file"):
+            fetch_bfile("271")
+        assert list(cache.iterdir()) == []
+
+    def test_network_failure_wrapped(self, cache, monkeypatch):
         def fail(url, timeout=0):
             raise urllib.error.URLError("no route")
 
         monkeypatch.setattr(urllib.request, "urlopen", fail)
         with pytest.raises(OeisUnavailableError):
-            fetch_bfile("271", cache_dir=tmp_path)
+            fetch_bfile("271")
 
 
 class TestCheck:
-    def test_match_via_cached_fixture(self, tmp_path, fixture_dir):
-        target = cache_path("271", tmp_path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text((fixture_dir / "b000271.txt").read_text())
+    def test_match_via_cached_fixture(self, cache, fixture_dir):
+        cache_path("271").write_text((fixture_dir / "b000271.txt").read_text())
         rec = gen_der_seq({0, 1}, 10)
-        report = oeis_check(rec, "271", cache_dir=tmp_path, offline=True)
+        report = oeis_check(rec, "271", offline=True)
         assert report.status == MATCH
         assert report.terms_compared == 10
 
-    def test_mismatch_status(self, tmp_path, fixture_dir):
-        target = cache_path("271", tmp_path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text((fixture_dir / "b000271.txt").read_text())
+    def test_mismatch_status(self, cache, fixture_dir):
+        cache_path("271").write_text((fixture_dir / "b000271.txt").read_text())
         rec = gen_der_seq({0}, 10)  # derangements, not menage
-        report = oeis_check(rec, "271", cache_dir=tmp_path, offline=True)
+        report = oeis_check(rec, "271", offline=True)
         assert report.status == MISMATCH
 
-    def test_unavailable_becomes_unverifiable(self, tmp_path):
+    def test_unavailable_becomes_unverifiable(self, cache):
         rec = gen_der_seq({0}, 4)
-        report = oeis_check(rec, "271", cache_dir=tmp_path, offline=True)
+        report = oeis_check(rec, "271", offline=True)
         assert report.status == UNVERIFIABLE
         assert "offline" in report.detail

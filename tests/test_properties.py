@@ -16,6 +16,7 @@ from latinrect.dp import kernel2, rectangle, trapezoid3, weight_snapshots
 from latinrect.sequences import gen_der_seq, glr3_seq
 from latinrect.tiles import UNIT_WEIGHT, ShiftSpec, Tile, enumerate_tiles
 from test_dp import ReferenceSweep
+from witnesses import mirrored
 
 N_MAX = 5
 
@@ -45,7 +46,7 @@ def test_three_row_engine_equals_oracle(spec):
 def test_mirror_symmetry(shifts, spec):
     assert (gen_der_seq(shifts, N_MAX, oracle_depth=0).terms
             == gen_der_seq({-s for s in shifts}, N_MAX, oracle_depth=0).terms)
-    mirror = spec.mirrored()
+    mirror = mirrored(spec)
     assert (glr3_seq(spec.s12, spec.s13, spec.s23, N_MAX, oracle_depth=0).terms
             == glr3_seq(mirror.s12, mirror.s13, mirror.s23, N_MAX, oracle_depth=0).terms)
 

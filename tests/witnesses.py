@@ -21,8 +21,8 @@ from latinrect.oracle import (
     _guard,
     iter_tilings,
 )
-from latinrect.poly import WeightPolynomial
-from latinrect.tiles import weight_exponents
+from latinrect.poly import PolyRing, WeightPolynomial
+from latinrect.tiles import UNIT_WEIGHT, ShiftSpec, Tile
 
 I_MINUS_PI = "i-minus-pi"
 PI_MINUS_I = "pi-minus-i"
@@ -175,3 +175,25 @@ def weighted_tiling_sum(
         key = tuple(exps)
         acc[key] = acc.get(key, 0) + coeff
     return WeightPolynomial(ring, acc)
+
+
+def weight_exponents(tag: str, ring: PolyRing) -> tuple[int, ...]:
+    if tag == UNIT_WEIGHT:
+        return (0,) * ring.nvars
+    exps = [0] * ring.nvars
+    exps[ring.index(tag)] = 1
+    return tuple(exps)
+
+
+def tile_monomial(tile: Tile, ring: PolyRing) -> WeightPolynomial:
+    return WeightPolynomial(ring, {weight_exponents(tile.weight, ring): tile.coefficient})
+
+
+def mirrored(spec: ShiftSpec) -> ShiftSpec:
+    """The same shift sets negated; boards mirror left-right."""
+    return ShiftSpec(
+        rows=spec.rows,
+        s12=frozenset(-s for s in spec.s12),
+        s13=frozenset(-s for s in spec.s13),
+        s23=frozenset(-s for s in spec.s23),
+    )
