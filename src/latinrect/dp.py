@@ -385,5 +385,5 @@ def kernel2(shifts: Iterable[int]) -> RationalKernel:
             # exponent lane 0 is the x degree; X carries the column count
             amat[i][j] = amat[i][j] - WeightPolynomial(ring, {(delta, 1): cf})
     rhs = [ring.one() if i == 0 else zero for i in range(nstates)]
-    num, den = solve_linear_system(amat, rhs, 0)
+    num, den = solve_linear_system(amat, rhs)
     return RationalKernel.from_bivariate(num, den, "X")

@@ -85,14 +85,15 @@ def cache_path(oeis_id: str) -> Path:
     return default_cache_dir() / f"b{canonical_id(oeis_id)[1:]}.txt"
 
 
-def fetch_bfile(oeis_id: str, offline: bool = False) -> str:
-    """Return b-file text, from cache when present.  A fresh download
+def fetch_bfile(oeis_id: str, offline: bool = False) -> dict[int, int]:
+    """Return the parsed b-file, from cache when present; a cached file
+    that does not parse raises BFileFormatError.  A fresh download
     that parses lands in the cache so later runs work offline; one
     that does not (an error page, a cut-off transfer) is not cached."""
     path = cache_path(oeis_id)
     if path.exists():
         # bytes that are not UTF-8 fail the parse, which names their line
-        return path.read_text(errors="replace")
+        return parse_bfile(path.read_text(errors="replace"))
     if offline:
         raise OeisUnavailableError(f"offline and no cached b-file at {path}")
     import urllib.error
@@ -105,7 +106,7 @@ def fetch_bfile(oeis_id: str, offline: bool = False) -> str:
     except (urllib.error.URLError, OSError, ValueError) as exc:
         raise OeisUnavailableError(f"could not fetch {url}: {exc}") from exc
     try:
-        parse_bfile(text)
+        terms = parse_bfile(text)
     except BFileFormatError as exc:
         raise OeisUnavailableError(f"{url} is not a b-file: {exc}") from exc
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -116,7 +117,7 @@ def fetch_bfile(oeis_id: str, offline: bool = False) -> str:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
-    return text
+    return terms
 
 
 @dataclass(frozen=True)
@@ -172,11 +173,9 @@ def compare_terms(
 def oeis_check(record: SequenceRecord, oeis_id: str, offline: bool = False) -> OeisReport:
     oeis_id = canonical_id(oeis_id)
     try:
-        text = fetch_bfile(oeis_id, offline=offline)
+        reference = fetch_bfile(oeis_id, offline=offline)
     except OeisUnavailableError as exc:
         return _unverifiable(oeis_id, str(exc))
-    try:
-        reference = parse_bfile(text)
     except BFileFormatError as exc:
         return _unverifiable(
             oeis_id, f"cached b-file {cache_path(oeis_id)} does not parse, {exc}; "

@@ -331,22 +331,21 @@ def bareiss_determinant(
 def solve_linear_system(
     matrix: Sequence[Sequence[WeightPolynomial]],
     rhs: Sequence[WeightPolynomial],
-    i: int,
 ) -> tuple[WeightPolynomial, WeightPolynomial]:
-    """Unknown i of A*g = rhs, solved exactly over a polynomial ring.
+    """Unknown 0 of A*g = rhs, solved exactly over a polynomial ring.
 
     Cramer's rule on fraction-free determinants: the pair (det of A
-    with column i replaced by rhs, det A), from one elimination of
-    [A | rhs] with column i moved last, which scales both
+    with column 0 replaced by rhs, det A), from one elimination of
+    [A | rhs] with column 0 moved last, which scales both
     determinants by the same sign.  The pair is exact but not
     reduced to lowest terms.
     """
     n = len(matrix)
-    moved = [[*row[:i], *row[i + 1:], row[i]] for row in matrix]
+    moved = [[*row[1:], row[0]] for row in matrix]
     num, det = bareiss_determinant(moved, rhs)
     if det.is_zero():
         raise SingularSystemError("transfer system is singular")
-    return (num, det) if (n - 1 - i) % 2 == 0 else (-num, -det)
+    return (num, det) if (n - 1) % 2 == 0 else (-num, -det)
 
 
 class RationalKernel:

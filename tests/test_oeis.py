@@ -127,7 +127,7 @@ class TestCache:
 
         monkeypatch.setattr(urllib.request, "urlopen", explode)
         cache_path("271").write_text("1 0\n2 0\n3 1\n")
-        assert parse_bfile(fetch_bfile("271")) == {1: 0, 2: 0, 3: 1}
+        assert fetch_bfile("271") == {1: 0, 2: 0, 3: 1}
 
     def test_offline_cold_cache_raises(self, cache):
         with pytest.raises(OeisUnavailableError):
@@ -139,12 +139,11 @@ class TestCache:
             return FakeResponse(b"# header\n1 0\n2 0\n3 1\n")
 
         monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
-        text = fetch_bfile("271")
-        assert "3 1" in text
+        assert fetch_bfile("271") == {1: 0, 2: 0, 3: 1}
         assert [p.name for p in cache.iterdir()] == ["b000271.txt"]
         # second fetch comes from disk even with the network gone
         monkeypatch.setattr(urllib.request, "urlopen", None)
-        assert fetch_bfile("271") == text
+        assert fetch_bfile("271") == {1: 0, 2: 0, 3: 1}
 
     def test_download_that_does_not_parse_is_not_cached(self, cache, monkeypatch):
         def rate_limited(url, timeout=0):
@@ -154,6 +153,11 @@ class TestCache:
         with pytest.raises(OeisUnavailableError, match="not a b-file"):
             fetch_bfile("271")
         assert list(cache.iterdir()) == []
+
+    def test_cached_file_that_does_not_parse_raises(self, cache):
+        cache_path("271").write_text("<html>rate limited</html>\n")
+        with pytest.raises(BFileFormatError, match="line 1"):
+            fetch_bfile("271", offline=True)
 
     def test_network_failure_wrapped(self, cache, monkeypatch):
         def fail(url, timeout=0):

@@ -169,28 +169,29 @@ class TestSolver:
             rows = [[rng.randrange(-5, 6) for _ in range(n)] for _ in range(n)]
             rhs = [rng.randrange(-5, 6) for _ in range(n)]
             ref = frac_solve(rows, rhs)
-            mat = [[RING_2ROW.const(v) for v in row] for row in rows]
             vec = [RING_2ROW.const(v) for v in rhs]
             if ref is None:
                 for i in range(n):
                     with pytest.raises(SingularSystemError):
-                        solve_linear_system(mat, vec, i)
+                        solve_linear_system(const_matrix(swap_columns(rows, i)), vec)
                 continue
             for i, want in enumerate(ref):
-                num, den = solve_linear_system(mat, vec, i)
+                # unknown i is unknown 0 once columns 0 and i trade places
+                swapped = swap_columns(rows, i)
+                num, den = solve_linear_system(const_matrix(swapped), vec)
                 got = Fraction(num.constant_term(), den.constant_term())
                 assert got == want
                 # the exact Cramer pair, not just its ratio
-                replaced = [row[:i] + [b] + row[i + 1:] for row, b in zip(rows, rhs)]
+                replaced = [[b] + row[1:] for row, b in zip(swapped, rhs)]
                 assert (num.constant_term(), den.constant_term()) == \
-                    (frac_det(replaced), frac_det(rows))
+                    (frac_det(replaced), frac_det(swapped))
             solved += 1
 
     def test_polynomial_system(self):
         # [[x, 1], [1, x]] u = [1, 0]  =>  u0 = x/(x^2-1), u1 = -1/(x^2-1)
         mat = [[X, RING_2ROW.one()], [RING_2ROW.one(), X]]
         rhs = [RING_2ROW.one(), RING_2ROW.zero()]
-        (n0, d0), (n1, d1) = (solve_linear_system(mat, rhs, i) for i in range(2))
+        (n0, d0), (n1, d1) = (solve_linear_system(m, rhs) for m in (mat, swap_columns(mat, 1)))
         assert n0 * (X**2 - 1) == X * d0
         assert n1 * (X**2 - 1) == -d1
 
@@ -198,8 +199,19 @@ class TestSolver:
         mat = [[RING_2ROW.const(2), RING_2ROW.const(0)],
                [RING_2ROW.const(0), RING_2ROW.const(4)]]
         rhs = [RING_2ROW.const(6), RING_2ROW.const(8)]
-        num, den = solve_linear_system(mat, rhs, 1)
+        num, den = solve_linear_system(swap_columns(mat, 1), rhs)
         assert num.constant_term() * 1 == 2 * den.constant_term()
+
+
+def swap_columns(rows: list[list], i: int) -> list[list]:
+    out = [list(row) for row in rows]
+    for row in out:
+        row[0], row[i] = row[i], row[0]
+    return out
+
+
+def const_matrix(rows: list[list[int]]) -> list[list[WeightPolynomial]]:
+    return [[RING_2ROW.const(v) for v in row] for row in rows]
 
 
 def frac_det(rows: list[list[int]]) -> int:
