@@ -17,8 +17,8 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .dp import LaneOverflowError, kernel2
-from .oeis import MATCH, MISMATCH, format_bfile, oeis_check
+from .dp import kernel2
+from .oeis import MATCH, MISMATCH, canonical_id, format_bfile, oeis_check
 from .oracle import OracleLimitError
 from .sequences import (
     FAMILIES,
@@ -60,6 +60,13 @@ class ShiftList(click.ParamType):
 
 
 SHIFTS = ShiftList()
+
+
+def _oeis_id(ctx, param, value: str | None) -> str | None:
+    try:
+        return None if value is None else canonical_id(value)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc))
 
 
 def _bfile_comments(record: SequenceRecord) -> tuple[str, ...]:
@@ -119,7 +126,7 @@ def _run(family, params, n_terms, oracle_depth=None, series_to=None, *,
     except OracleMismatchError as exc:
         click.echo(f"oracle mismatch: {exc}", err=True)
         sys.exit(EXIT_ORACLE_MISMATCH)
-    except (OracleLimitError, LaneOverflowError) as exc:
+    except OracleLimitError as exc:
         raise click.UsageError(str(exc)) from None
     record = apply_total(reduced) if total else reduced
     _dumps(record, dump_tiles_flag)
@@ -153,6 +160,7 @@ def _common(fn):
                 "--oeis",
                 "oeis_id",
                 default=None,
+                callback=_oeis_id,
                 metavar="ID",
                 help="compare reduced terms against this OEIS entry's b-file",
             ),

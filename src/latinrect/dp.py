@@ -41,13 +41,17 @@ lengths being board.row_lengths(n), which the caller of unpack passes
 in.  That holds for any tiles whose x2, x3 and x23 weights sit on
 tiles with a cell on the rows they name, which _Sweep checks.
 
-The key holds a1 and a23 in 16-bit lanes.  The value packs every
-(k1, k2) of that key into one integer (Kronecker substitution):
-sum of c * 2^(B*(k1 + (n_max+1)*k2)), with signed digits c.  A column
-table row is then a key delta kd, a slot delta sd and a coefficient
-cf, and applying it to (key, v) is key + kd and cf * (v << sd*B): a
-few C-level big-integer operations in place of one Python step per
-monomial.  Since k1 <= n_max, distinct (k1, k2) get distinct slots.
+Key and value pack their pairs by one rule, with stride S = n_max+1:
+the key is a23 + S*a1, and the value packs every (k1, k2) of that key
+into one integer (Kronecker substitution): sum of c * 2^(B*(k1 +
+S*k2)), with signed digits c.  A column table row is then a key delta
+kd, a slot delta sd and a coefficient cf, and applying it to (key, v)
+is key + kd and cf * (v << sd*B): a few C-level big-integer
+operations in place of one Python step per monomial.  By exact cover
+a23 <= n and k1 <= n on every term of snapshot n <= n_max, so S keeps
+them apart; a profile where either passes n_max mid-sweep never
+reaches a snapshot, nor do the terms aliased in it.  a1 counts tiles,
+any of which may carry x1, so it is the top coordinate, unbounded.
 
 The slot width B is a proven bound.  A coefficient of profile m after
 c columns is a sum, over paths of column-table rows from the empty
@@ -85,13 +89,6 @@ from .poly import (
     solve_linear_system,
 )
 from .tiles import ShiftSpec, Tile, UNIT_WEIGHT, enumerate_tiles, ring_for
-
-PACK_BITS = 16
-
-
-class LaneOverflowError(ValueError):
-    """The board is too long for the packed exponent lanes."""
-
 
 @dataclass(frozen=True)
 class BoardShape:
@@ -149,7 +146,6 @@ class _Sweep:
     def __init__(self, tiles: Sequence[Tile], board: BoardShape, n_max: int = 0):
         self.k = board.rows
         self.ring = ring_for(board.rows)
-        #: slot stride of k2
         self.stride = n_max + 1
         ops: list[list[tuple[int, int, int, int]]] = [[] for _ in range(self.k)]
         for t in tiles:
@@ -158,7 +154,7 @@ class _Sweep:
                 bits |= 1 << (dx * self.k + row - t.anchor_row)
             if t.weight != UNIT_WEIGHT:
                 self.ring.index(t.weight)  # an unknown tag raises
-            kd = {"x": 1, "x1": 1, "x23": 1 << PACK_BITS}.get(t.weight, 0)
+            kd = {"x": 1, "x1": self.stride, "x23": 1}.get(t.weight, 0)
             sd = 0
             if self.k == 3:
                 rows = [row for _, row in t.cells]
@@ -267,11 +263,10 @@ class _Sweep:
             return WeightPolynomial.trusted(
                 self.ring, {(x,): c for x, c in packed.items() if c}
             )
-        lane = (1 << PACK_BITS) - 1
         _, cells1, cells2 = row_lengths
         terms = {}
         for key, v in packed.items():
-            a1, a23 = key & lane, key >> PACK_BITS
+            a1, a23 = divmod(key, self.stride)
             row1, row2 = cells1 - a23, cells2 - a23
             for slot, c in balanced_digits(v, self.bits):
                 k2, k1 = divmod(slot, self.stride)
@@ -317,11 +312,6 @@ def weight_snapshots(
     weight), which maps the tilings of the board one-to-one onto those
     of its mirror image with the same weights.
     """
-    if n_max * board.rows >= 1 << PACK_BITS:
-        raise LaneOverflowError(
-            f"n_max={n_max} overflows the packed exponent lanes: "
-            f"{board.rows}-row boards stop at n={((1 << PACK_BITS) - 1) // board.rows}"
-        )
     if n_max < board.min_n:
         raise ValueError(f"this board's series starts at n={board.min_n}")
     if any(board.shortfalls):

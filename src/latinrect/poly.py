@@ -10,9 +10,9 @@ never stored.
 The module also carries the fraction-free linear algebra used to turn
 a transfer-matrix system into a rational generating function: one
 fraction-free Bareiss elimination for Cramer pairs (all divisions
-exact, no fractions ever materialize) and a
-RationalKernel wrapper that expands num/den into a weight-polynomial
-series via the induced linear recurrence.
+exact, no fractions ever materialize) and a RationalKernel wrapper
+that expands num/den into a weight-polynomial series via the induced
+linear recurrence.
 """
 
 from __future__ import annotations

@@ -3,11 +3,11 @@
 Each engine family is one row of FAMILIES, and run_family computes its
 terms with the sweep engine, one P_n at a time as the sweep yields it,
 replays a prefix on the brute-force oracle as it goes and refuses to
-return on any disagreement: a mismatch raises
-OracleMismatchError carrying the tile alphabet and the offending
-weight polynomial, because a wrong count with a plausible look is the
-worst failure mode this package has.  Latin triangles have no engine
-route and are computed by the oracle outright, marked as such.
+return on any disagreement: a mismatch raises OracleMismatchError
+carrying the tile alphabet and the offending weight polynomial,
+because a wrong count with a plausible look is the worst failure mode
+this package has.  Latin triangles have no engine route and are
+computed by the oracle outright, marked as such.
 """
 
 from __future__ import annotations

@@ -181,14 +181,21 @@ class TestExitCodes:
         ("gen-der", "--shifts", "0", "-N", "3", "--oracle-depth", "12"),
         ("triangle", "--n", "8"),
         ("triangle", "--n", "9"),
-        # past the packed exponent lanes of the sweep
-        ("glr3", "--s12", "0", "-N", "22000"),
-        ("gen-der", "--shifts", "0", "-N", "33000"),
     ])
     def test_check_past_oracle_cap_is_usage_error(self, runner, args):
         r = invoke(runner, *args)
         assert r.exit_code == 2
         assert "capped at n=" in r.stderr or "stop at n=" in r.stderr
+        assert r.stdout == ""
+
+    def test_bad_oeis_id_is_usage_error_before_the_job(self, runner, monkeypatch):
+        def no_job(*args, **kwargs):
+            raise AssertionError("the job ran before the ID was checked")
+
+        monkeypatch.setattr("latinrect.cli.run_job", no_job)
+        r = invoke(runner, "gen-der", "--shifts", "0,1", "-N", "3", "--oeis", "bogus")
+        assert r.exit_code == 2
+        assert "not an OEIS id: 'bogus'" in r.stderr
         assert r.stdout == ""
 
     def test_oeis_match_is_0(self, runner, cached_271):
