@@ -17,7 +17,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .dp import kernel2
+from .dp import KernelSpanError, kernel2
 from .oeis import MATCH, MISMATCH, canonical_id, format_bfile, oeis_check
 from .oracle import OracleLimitError
 from .sequences import (
@@ -264,8 +264,12 @@ def triangle_cmd(n_max, **opts):
 def kernel_cmd(shifts, fmt, output, dump_series):
     """Closed-form rational kernel of a 2-row spec: the generating
     function whose X^n coefficient is the weight polynomial P_n.
-    Wide shift sets are expensive; widths up to 4 or 5 are quick."""
-    kern = kernel2(shifts)
+    Shift sets may span at most 8 columns, 0 included: each column of
+    span doubles the transfer states, up to 128."""
+    try:
+        kern = kernel2(shifts)
+    except KernelSpanError as exc:
+        raise click.UsageError(str(exc)) from None
     if dump_series is not None:
         for n, poly in enumerate(kern.series(dump_series)):
             click.echo(f"P_{n} = {poly.canonical_str()}", err=True)

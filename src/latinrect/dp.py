@@ -340,12 +340,31 @@ def weight_series(
     return SeriesTable(first_n=board.min_n, polys=polys)
 
 
+#: widest 2-row shift set kernel2 takes, in columns with column 0
+#: counted: span w has up to 2^(w-1) transfer states, 128 at w = 8
+MAX_KERNEL_SPAN = 8
+
+
+class KernelSpanError(ValueError):
+    """A shift set too wide for kernel2 to finish."""
+
+
 def kernel2(shifts: Iterable[int]) -> RationalKernel:
     """Rational kernel G(x, X) = sum_n P_n(x) X^n for a 2-row spec.
 
     States are the reachable column-boundary profiles; the transfer
     polynomial T[i][j] collects coefficient*x^weight over transitions.
-    G solves (I - X*T) G = e_empty, taken fraction-free."""
+    G solves (I - X*T) G = e_empty, taken fraction-free.  A shift set
+    spanning more than MAX_KERNEL_SPAN columns, counting column 0 (the
+    unshifted cell), raises KernelSpanError before any work."""
+    shifts = frozenset(shifts)
+    columns = shifts | {0}
+    span = max(columns) - min(columns) + 1
+    if span > MAX_KERNEL_SPAN:
+        raise KernelSpanError(
+            f"kernel shift sets span at most {MAX_KERNEL_SPAN} columns, 0 included; "
+            f"{sorted(shifts)} spans {span}"
+        )
     spec = ShiftSpec.two_rows(shifts)
     tiles = enumerate_tiles(spec)
     board = rectangle(2)

@@ -13,10 +13,32 @@ fraction-free Bareiss elimination for Cramer pairs (all divisions
 exact, no fractions ever materialize) and a RationalKernel wrapper
 that expands num/den into a weight-polynomial series via the induced
 linear recurrence.
+
+Inside the elimination a polynomial is a dict from one int key to its
+coefficient: the key of x_0^e_0 ... x_k^e_k is sum of e_i * S^i, with
+stride S = 2D + 1.  D is the sum over the rows of [A | rhs] of each
+row's largest exponent coordinate.  Every intermediate entry is a
+minor (Bareiss, Math. Comp. 1968), a sum of products of one entry per
+row, so each of its coordinates is at most D; the product
+pivot*a - fac*b taken before its division stays at most 2D < S per
+coordinate.  Adding keys then adds exponent vectors without a carry,
+no two monomials share a key, and int order is a lex order (x_k
+highest), so reducing by den's largest key is the lex reduction of
+exact_divide.  The division checks survive the encoding: a quotient
+coordinate is at most D when the division is exact, and a quotient
+key whose exponent difference has a negative coordinate is either
+negative or, at its lowest negative coordinate i, decodes to
+S + e_i - d_i >= S - D = D + 1 (X / x gives coordinate x = S - 1).
+So a negative key, a decoded coordinate above D, or a coefficient
+remainder raises PolynomialDivisionError, as a tuple division would.
+The margin matters for these checks only: the key map is a ring map
+(x_i -> t^(S^i)), so an exact division stays exact under any stride
+above D, and no input that divides can show a smaller stride.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -291,21 +313,30 @@ def bareiss_determinant(
 
     Every intermediate entry is a minor of the input, and each
     division by the previous pivot is exact; a failed division would
-    signal corruption, so it raises instead of rounding.
+    signal corruption, so it raises instead of rounding.  Entries are
+    eliminated as int-keyed dicts (see the module docstring); only
+    the two returned entries are decoded.
     """
     n = len(matrix)
     if n == 0:
         raise ValueError("empty matrix")
     ring = matrix[0][0].ring
-    m = [[*row, b] for row, b in zip(matrix, rhs)]
-    prev = ring.one()
+    rows = [[*row, b] for row, b in zip(matrix, rhs)]
+    for row in rows:
+        for p in row:
+            p._check(matrix[0][0])
+    nvars = ring.nvars
+    bound = sum(max((max(e) for p in row for e in p._terms), default=0) for row in rows)
+    stride = 2 * bound + 1
+    m = [[_encode(p, stride) for p in row] for row in rows]
+    prev = {0: 1}
     sign = 1
     for k in range(n - 1):
         # pivot on the sparsest eligible row; fill-in, not correctness
         piv = None
         best = None
         for r in range(k, n):
-            if m[r][k].is_zero():
+            if not m[r][k]:
                 continue
             weight = (len(m[r][k]), sum(len(e) for e in m[r][k:]))
             if best is None or weight < best:
@@ -317,15 +348,121 @@ def bareiss_determinant(
             m[k], m[piv] = m[piv], m[k]
             sign = -sign
         pivot = m[k][k]
+        row_k = m[k]
         for i in range(k + 1, n):
-            fac = m[i][k]
-            row_i, row_k = m[i], m[k]
-            for j in range(k + 1, len(row_i)):
-                row_i[j] = exact_divide(pivot * row_i[j] - fac * row_k[j], prev)
-            row_i[k] = ring.zero()
+            row_i = m[i]
+            fac = row_i[k]
+            for j in range(k + 1, n + 1):
+                a, b = row_i[j], row_k[j]
+                if a or (fac and b):
+                    row_i[j] = _divide_keys(_cross(pivot, a, fac, b), prev, stride, bound, nvars)
+            row_i[k] = {}
         prev = pivot
-    det, num = m[n - 1][n - 1:]
+    det, num = (_decode(keys, ring, stride) for keys in m[n - 1][n - 1:])
     return (num, det) if sign == 1 else (-num, -det)
+
+
+def _encode(p: WeightPolynomial, stride: int) -> dict[int, int]:
+    """p's terms keyed by sum of e_i * stride^i."""
+    out = {}
+    for exps, c in p._terms.items():
+        key = 0
+        for e in reversed(exps):
+            key = key * stride + e
+        out[key] = c
+    return out
+
+
+def _digits(key: int, stride: int, nvars: int) -> list[int]:
+    """The exponent vector of an encoded key, lowest coordinate first."""
+    out = []
+    for _ in range(nvars):
+        key, e = divmod(key, stride)
+        out.append(e)
+    return out
+
+
+def _decode(keys: dict[int, int], ring: PolyRing, stride: int) -> WeightPolynomial:
+    return WeightPolynomial.trusted(
+        ring, {tuple(_digits(k, stride, ring.nvars)): c for k, c in keys.items()}
+    )
+
+
+def _cross(p: dict, a: dict, f: dict, b: dict) -> dict[int, int]:
+    """p*a - f*b on encoded keys, zero coefficients included."""
+    out: dict[int, int] = {}
+    get = out.get
+    for kp, cp in p.items():
+        for ka, ca in a.items():
+            k = kp + ka
+            out[k] = get(k, 0) + cp * ca
+    for kf, cf in f.items():
+        for kb, cb in b.items():
+            k = kf + kb
+            out[k] = get(k, 0) - cf * cb
+    return out
+
+
+def _not_divisible(num: dict, den: dict) -> PolynomialDivisionError:
+    return PolynomialDivisionError(
+        f"a {len(num)}-term polynomial is not divisible by a {len(den)}-term one"
+    )
+
+
+def _divide_keys(
+    num: dict[int, int], den: dict[int, int], stride: int, bound: int, nvars: int
+) -> dict[int, int]:
+    """num/den on encoded keys, where the true quotient has every
+    coordinate at most bound and num every coordinate at most
+    2*bound; raise PolynomialDivisionError when it does not divide.
+
+    Lex reduction by den's largest key, as exact_divide does on
+    tuples.  A quotient key is refused when it is negative, when a
+    coordinate decodes above bound (a borrow across coordinates, as
+    in X / x, shows up as a coordinate of stride - d > bound), or
+    when its coefficient leaves a remainder.
+    """
+    quot: dict[int, int] = {}
+    if len(den) == 1:
+        ((de, dc),) = den.items()
+        for k, c in num.items():
+            if not c:
+                continue
+            q, r = divmod(c, dc)
+            qk = k - de
+            if r or qk < 0 or max(_digits(qk, stride, nvars)) > bound:
+                raise _not_divisible(num, den)
+            quot[qk] = q
+        return quot
+    de = max(den)
+    dc = den[de]
+    tail = [(k - de, c) for k, c in den.items() if k != de]
+    rem = {k: c for k, c in num.items() if c}
+    heap = [-k for k in rem]
+    heapq.heapify(heap)
+    while heap:
+        rk = -heapq.heappop(heap)
+        rc = rem.pop(rk, 0)
+        if not rc:
+            continue
+        q, r = divmod(rc, dc)
+        qk = rk - de
+        if r or qk < 0 or max(_digits(qk, stride, nvars)) > bound:
+            raise _not_divisible(num, den)
+        quot[qk] = q
+        for off, c in tail:
+            t = rk + off
+            v = rem.get(t)
+            if v is None:
+                rem[t] = -q * c
+                heapq.heappush(heap, -t)
+            else:
+                v -= q * c
+                if v:
+                    rem[t] = v
+                else:
+                    del rem[t]
+    return quot
 
 
 def solve_linear_system(

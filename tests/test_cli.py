@@ -5,6 +5,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -18,6 +22,8 @@ from latinrect.cli import (
     main,
 )
 from latinrect.oeis import CACHE_ENV_VAR, cache_path, parse_bfile
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture()
@@ -187,6 +193,18 @@ class TestExitCodes:
         assert r.exit_code == 2
         assert "capped at n=" in r.stderr or "stop at n=" in r.stderr
         assert r.stdout == ""
+
+    @pytest.mark.parametrize("shifts", ["0,8", "0,30"])
+    def test_kernel_past_span_limit_is_usage_error(self, shifts):
+        # a fresh process with a timeout: without the guard these run for hours
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "latinrect.cli", "kernel", "--shifts", shifts],
+            env=env, capture_output=True, text=True, timeout=20,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert f"at most {dpmod.MAX_KERNEL_SPAN} columns" in proc.stderr
 
     def test_bad_oeis_id_is_usage_error_before_the_job(self, runner, monkeypatch):
         def no_job(*args, **kwargs):

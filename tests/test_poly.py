@@ -1,6 +1,7 @@
 """Ring arithmetic, exact division, the fraction-free solver, and
 rational kernels.  Solver results are checked against an independent
-Fraction-based elimination on randomized integer systems."""
+Fraction-based elimination on randomized integer systems, and against
+cofactor expansion on randomized polynomial ones."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from latinrect import poly
 from latinrect.poly import (
     RING_2ROW,
     RING_3ROW,
@@ -25,6 +27,7 @@ from latinrect.poly import (
 )
 
 X = RING_2ROW.var("x")
+X_K, BIG_X = RING_KERNEL.var("x"), RING_KERNEL.var("X")
 
 
 def rand_poly(ring: PolyRing, rng: random.Random, deg: int = 3, terms: int = 4):
@@ -201,6 +204,64 @@ class TestSolver:
         rhs = [RING_2ROW.const(6), RING_2ROW.const(8)]
         num, den = solve_linear_system(swap_columns(mat, 1), rhs)
         assert num.constant_term() * 1 == 2 * den.constant_term()
+
+    @pytest.mark.parametrize("ring", [RING_KERNEL, RING_3ROW], ids=["kernel", "3row"])
+    def test_polynomial_determinants_vs_cofactors(self, ring):
+        rng = random.Random(2718)
+        for _ in range(40):
+            n = rng.randrange(1, 6)
+            mat = [[sparse_poly(ring, rng) for _ in range(n)] for _ in range(n)]
+            rhs = [sparse_poly(ring, rng) for _ in range(n)]
+            num, det = bareiss_determinant(mat, rhs)
+            assert det == cofactor_det(mat)
+            assert num == cofactor_det([[*row[:-1], b] for row, b in zip(mat, rhs)])
+
+    @pytest.mark.parametrize("num, den", [
+        (X_K + 1, X_K),                         # a term below den's lowest key
+        (3 * X_K, 2 * X_K),                     # a one-term coefficient remainder
+        (BIG_X, X_K),                           # X / x borrows across coordinates
+        (X_K**2 + 1, X_K + 1),                  # remainder 2 after the quotient x - 1
+        (X_K**2 + 2 * X_K + 2, 2 * X_K + 2),    # a coefficient remainder, several terms
+    ], ids=["negative-key", "coefficient", "borrow", "remainder", "multi-coefficient"])
+    def test_key_division_refuses_inexact(self, num, den):
+        bound = 2  # every coordinate of a quotient, 4 of a dividend
+        stride = 2 * bound + 1
+        with pytest.raises(PolynomialDivisionError):
+            poly._divide_keys(poly._encode(num, stride), poly._encode(den, stride),
+                              stride, bound, RING_KERNEL.nvars)
+
+    def test_key_division_of_products(self):
+        rng = random.Random(1618)
+        for _ in range(40):
+            a = sparse_poly(RING_KERNEL, rng, zero_odds=0)
+            b = sparse_poly(RING_KERNEL, rng, zero_odds=0)
+            if b.is_zero():
+                continue
+            stride = 2 * 3 + 1  # sparse_poly's degree bound is 3
+            quot = poly._divide_keys(poly._encode(a * b, stride), poly._encode(b, stride),
+                                     stride, 3, RING_KERNEL.nvars)
+            assert poly._decode(quot, RING_KERNEL, stride) == a
+
+
+def sparse_poly(ring: PolyRing, rng: random.Random, zero_odds: float = 0.4):
+    """Zero with probability zero_odds, else up to three terms of
+    degree at most 3 with coefficients in -9..9."""
+    if rng.random() < zero_odds:
+        return ring.zero()
+    return rand_poly(ring, rng, deg=3, terms=rng.randrange(1, 4))
+
+
+def cofactor_det(rows: list[list[WeightPolynomial]]) -> WeightPolynomial:
+    """Laplace expansion along the first row, in polynomial arithmetic."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = rows[0][0].ring.zero()
+    for j, top in enumerate(rows[0]):
+        if top.is_zero():
+            continue
+        term = top * cofactor_det([row[:j] + row[j + 1:] for row in rows[1:]])
+        total = total + term if j % 2 == 0 else total - term
+    return total
 
 
 def swap_columns(rows: list[list], i: int) -> list[list]:

@@ -72,7 +72,7 @@ def test_mirrored_trapezoid_equals_per_n_sweep(spec):
 
 
 @PROPERTY
-@given(st.frozensets(st.integers(-2, 2)))
+@given(st.frozensets(st.integers(-3, 3)))
 def test_kernel_series_equals_two_row_sweep(shifts):
     sweep = [p for _, p in weight_snapshots(
         enumerate_tiles(ShiftSpec.two_rows(shifts)), rectangle(2), 10)]

@@ -8,9 +8,12 @@ shift set S replaced by -S, in every output format its command takes
 the command has that option, plus `--help` of the CLI and of every
 command.  The benchmark's oracle depths stop short of the caps, so the
 DEEP_ORACLE jobs also run, in plain format: each family's brute-force
-counter at or near its cap, about 20 s per checkout.  One small job
-per engine command also runs with `--total` and with `--dump-tiles`,
-and two requests past an oracle cap check the usage error (exit 2).
+counter at or near its cap, about 20 s per checkout.  The
+KERNEL_SETS, shift sets no workload runs (width 7 among them), also
+run as kernels in both formats, with and without `--dump-series 8`.
+One small job per engine command also runs with `--total` and with
+`--dump-tiles`, and two requests past an oracle cap check the usage
+error (exit 2).
 Each command line runs as a fresh `python3 -m latinrect.cli` process
 on this checkout's source and on PARENT_DIR's.  stdout, stderr and
 exit code must match; a JSON record is compared without
@@ -43,6 +46,7 @@ DEEP_ORACLE = (
     ("trapezoid", "-N", "7", "--oracle-depth", "9"),
     ("triangle", "--n", "7"),
 )
+KERNEL_SETS = ("0,1,2,3,4,5,6", "-2,0,3,4", "1,5")
 FLAG_JOBS = (
     ("gen-der", "--shifts", "0,1", "-N", "12"),
     ("glr3", *SUPER, "-N", "6"),
@@ -64,6 +68,10 @@ def command_lines() -> list[tuple[str, ...]]:
                     lines.append((*args, "-f", fmt))
                     if args[0] not in NO_DUMP:
                         lines.append((*args, "-f", fmt, "--dump-series", "8"))
+    for shifts in KERNEL_SETS:
+        for fmt in FORMATS["kernel"]:
+            lines.append(("kernel", "--shifts", shifts, "-f", fmt))
+            lines.append(("kernel", "--shifts", shifts, "-f", fmt, "--dump-series", "8"))
     for job in DEEP_ORACLE:
         lines += [(*args, "-f", "plain") for args in dict.fromkeys((job, mirrored(job)))]
     lines += [(*job, flag) for job in FLAG_JOBS for flag in ("--total", "--dump-tiles")]
