@@ -38,9 +38,7 @@ EXIT_OEIS_MISMATCH = 4
 EXIT_OEIS_UNVERIFIABLE = 5
 
 
-def _parse_shifts(value: str | None) -> tuple[int, ...]:
-    if value is None:
-        return ()
+def _parse_shifts(value: str) -> tuple[int, ...]:
     body = value.strip().strip("{}")
     if not body:
         return ()

@@ -23,11 +23,14 @@ row, so each of its coordinates is at most D; the product
 pivot*a - fac*b taken before its division stays at most 2D < S per
 coordinate.  Adding keys then adds exponent vectors without a carry,
 no two monomials share a key, and int order is a lex order (x_k
-highest), so reducing by den's largest key is the lex reduction of
-exact_divide.  The division checks survive the encoding: a quotient
-coordinate is at most D when the division is exact, and a quotient
-key whose exponent difference has a negative coordinate is either
-negative or, at its lowest negative coordinate i, decodes to
+highest), so reducing by den's largest key is a lex reduction.
+exact_divide uses the same keys and the same reduction, with D the
+largest exponent coordinate of num and den: an exact quotient has no
+coordinate above num's, and every product q*d stays at most 2D < S.
+The division checks survive the encoding: a quotient coordinate is at
+most D when the division is exact, and a quotient key whose exponent
+difference has a negative coordinate is either negative or, at its
+lowest negative coordinate i, decodes to
 S + e_i - d_i >= S - D = D + 1 (X / x gives coordinate x = S - 1).
 So a negative key, a decoded coordinate above D, or a coefficient
 remainder raises PolynomialDivisionError, as a tuple division would.
@@ -271,36 +274,20 @@ class WeightPolynomial:
 def exact_divide(num: WeightPolynomial, den: WeightPolynomial) -> WeightPolynomial:
     """Quotient num/den when den divides num exactly, else raise.
 
-    Plain lex reduction: repeatedly cancel the leading term of the
-    remainder against the leading term of den.  Exactness means the
-    remainder hits zero and every coefficient quotient is integral.
+    One _divide_keys call on keys of stride 2D + 1, where D is the
+    largest exponent coordinate of num and den (see the module
+    docstring).
     """
+    num._check(den)
     if den.is_zero():
         raise PolynomialDivisionError("division by the zero polynomial")
-    if num.is_zero():
-        return num.ring.zero()
-    num._check(den)
-    de, dc = den.leading()
-    rem = dict(num._terms)
-    quot: dict[tuple[int, ...], int] = {}
-    while rem:
-        re = max(rem)
-        rc = rem[re]
-        qe = tuple(a - b for a, b in zip(re, de))
-        if any(e < 0 for e in qe) or rc % dc != 0:
-            raise PolynomialDivisionError(
-                f"({num.canonical_str()}) is not divisible by ({den.canonical_str()})"
-            )
-        qc = rc // dc
-        quot[qe] = qc
-        for e, c in den._terms.items():
-            t = tuple(a + b for a, b in zip(qe, e))
-            v = rem.get(t, 0) - qc * c
-            if v:
-                rem[t] = v
-            else:
-                rem.pop(t, None)
-    return WeightPolynomial(num.ring, quot)
+    ring = num.ring
+    bound = max((c for p in (num, den) for e in p._terms for c in e), default=0)
+    stride = 2 * bound + 1
+    # a ring of constants still decodes one (zero) digit per key check
+    nvars = max(ring.nvars, 1)
+    quot = _divide_keys(_encode(num, stride), _encode(den, stride), stride, bound, nvars)
+    return _decode(quot, ring, stride)
 
 
 def bareiss_determinant(
@@ -416,11 +403,11 @@ def _divide_keys(
     coordinate at most bound and num every coordinate at most
     2*bound; raise PolynomialDivisionError when it does not divide.
 
-    Lex reduction by den's largest key, as exact_divide does on
-    tuples.  A quotient key is refused when it is negative, when a
-    coordinate decodes above bound (a borrow across coordinates, as
-    in X / x, shows up as a coordinate of stride - d > bound), or
-    when its coefficient leaves a remainder.
+    Lex reduction by den's largest key.  A quotient key is refused
+    when it is negative, when a coordinate decodes above bound (a
+    borrow across coordinates, as in X / x, shows up as a coordinate
+    of stride - d > bound), or when its coefficient leaves a
+    remainder.
     """
     quot: dict[int, int] = {}
     if len(den) == 1:

@@ -118,22 +118,40 @@ class TestCanonicalStr:
 
 
 class TestExactDivide:
-    def test_product_roundtrip_randomized(self):
+    @pytest.mark.parametrize("ring", [RING_2ROW, RING_3ROW, RING_KERNEL],
+                             ids=["2row", "3row", "kernel"])
+    def test_product_roundtrip_randomized(self, ring):
         rng = random.Random(977)
         for _ in range(30):
-            a = rand_poly(RING_3ROW, rng)
-            b = rand_poly(RING_3ROW, rng)
+            a = rand_poly(ring, rng)
+            b = rand_poly(ring, rng)
             if b.is_zero():
                 continue
             assert exact_divide(a * b, b) == a
 
-    def test_non_divisible_raises(self):
+    @pytest.mark.parametrize("num, den", [
+        (X + 1, X),             # a term below den's lowest key
+        (BIG_X, X_K),           # X / x borrows across coordinates
+        (X_K, X_K**2),          # den's x coordinate is above num's
+        (3 * X_K, 2 * X_K),     # a coefficient remainder
+    ], ids=["negative-key", "borrow", "coordinate-above", "coefficient"])
+    def test_non_divisible_raises(self, num, den):
         with pytest.raises(PolynomialDivisionError):
-            exact_divide(X + 1, X)
+            exact_divide(num, den)
 
     def test_divide_by_zero_raises(self):
         with pytest.raises(PolynomialDivisionError):
             exact_divide(X, RING_2ROW.zero())
+
+    def test_ring_mismatch_raises_for_zero_dividend(self):
+        with pytest.raises(RingMismatchError):
+            exact_divide(RING_2ROW.zero(), RING_3ROW.one())
+
+    def test_ring_of_constants(self):
+        consts = PolyRing(())
+        assert exact_divide(consts.const(6), consts.const(-3)) == consts.const(-2)
+        with pytest.raises(PolynomialDivisionError):
+            exact_divide(consts.const(7), consts.const(2))
 
 
 def frac_solve(rows: list[list[int]], rhs: list[int]) -> list[Fraction] | None:
@@ -338,6 +356,20 @@ class TestRationalKernel:
         k = self.geometric()
         num, den = k.to_bivariate()
         assert RationalKernel.from_bivariate(num, den, "X") == k
+
+    def test_series_divides_by_non_unit_constant_term(self):
+        # (1+x) / ((1+x) - (1+x) X): every P_n is 1, as for 1/(1-X)
+        one, onex = RING_2ROW.one(), RING_2ROW.one() + X
+        k = RationalKernel(RING_2ROW, "X", (onex,), (onex, -onex))
+        assert not k.normalized
+        assert k.series(6) == [one] * 7
+        assert k == RationalKernel(RING_2ROW, "X", (one,), (one, -one))
+
+    def test_series_refuses_inexact_constant_term(self):
+        one = RING_2ROW.one()
+        k = RationalKernel(RING_2ROW, "X", (one,), (one + X, -one))
+        with pytest.raises(PolynomialDivisionError):
+            k.series(3)
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):

@@ -18,8 +18,9 @@ Each command line runs as a fresh `python3 -m latinrect.cli` process
 on this checkout's source and on PARENT_DIR's.  stdout, stderr and
 exit code must match; a JSON record is compared without
 its `duration_seconds`, the one field that differs from run to run.
-Prints each command line that differs and exits 1 if there is one,
-0 otherwise.  perfbench/ is only read.
+Prints each command line that differs, naming which of exit code,
+stdout and stderr differ, and exits 1 if there is one, 0 otherwise.
+perfbench/ is only read.
 """
 
 from __future__ import annotations
@@ -78,6 +79,9 @@ def command_lines() -> list[tuple[str, ...]]:
     return lines + list(USAGE_ERRORS)
 
 
+PARTS = ("exit code", "stdout", "stderr")  # the fields of run()'s result
+
+
 def run(checkout: Path, args: tuple[str, ...]) -> tuple[int, bytes, bytes]:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(checkout / "src")
@@ -101,9 +105,11 @@ def main(argv: list[str]) -> int:
     lines = command_lines()
     differ = 0
     for args in lines:
-        if run(ROOT, args) != run(parent, args):
+        ours, theirs = run(ROOT, args), run(parent, args)
+        parts = [name for name, a, b in zip(PARTS, ours, theirs) if a != b]
+        if parts:
             differ += 1
-            print("DIFFERS:", " ".join(args))
+            print("DIFFERS:", " ".join(args), f"({', '.join(parts)})")
     print(f"{len(lines)} command lines, {differ} differ")
     return 1 if differ else 0
 
