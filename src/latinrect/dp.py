@@ -41,17 +41,31 @@ lengths being board.row_lengths(n), which the caller of unpack passes
 in.  That holds for any tiles whose x2, x3 and x23 weights sit on
 tiles with a cell on the rows they name, which _Sweep checks.
 
+The slots do not index (k1, k2) itself: for the tiles.py alphabet
+k_r <= a1, so most of that square would stay zero.  Each tile adds
+instead p = [weight is x1] - (its k1) and q = [weight is x1] - (its
+k2), so that k1 = a1 - p and k2 = a1 - q on every term; for the
+tiles.py alphabet p counts the two-cell tiles on rows 0 and 2, and q
+those on rows 0 and 1.  This class layout is taken when every tile has p >= 0
+and q >= 0 and every x1 tile has a row-0 cell: then the x1 tiles sit
+on distinct row-0 cells, and 0 <= p, q <= a1 <= n on every term of
+snapshot n.  Any other alphabet (hand-tagged ones, unit weights among
+them) keeps the incidence layout p = k1, q = k2, where k1, k2 <= n by
+exact cover.  unpack maps (p, q) back to (k1, k2) by the affine map
+of the layout, chosen once.
+
 Key and value pack their pairs by one rule, with stride S = n_max+1:
-the key is a23 + S*a1, and the value packs every (k1, k2) of that key
-into one integer (Kronecker substitution): sum of c * 2^(B*(k1 +
-S*k2)), with signed digits c.  A column table row is then a key delta
+the key is a23 + S*a1, and the value packs every (p, q) of that key
+into one integer (Kronecker substitution): sum of c * 2^(B*(p +
+S*q)), with signed digits c.  A column table row is then a key delta
 kd, a slot delta sd and a coefficient cf, and applying it to (key, v)
 is key + kd and cf * (v << sd*B): a few C-level big-integer
-operations in place of one Python step per monomial.  By exact cover
-a23 <= n and k1 <= n on every term of snapshot n <= n_max, so S keeps
-them apart; a profile where either passes n_max mid-sweep never
-reaches a snapshot, nor do the terms aliased in it.  a1 counts tiles,
-any of which may carry x1, so it is the top coordinate, unbounded.
+operations in place of one Python step per monomial.  In either
+layout a23 <= n and p <= n on every term of snapshot n <= n_max, so S
+keeps them apart; neither decreases along the sweep, so a profile
+where either passes n_max mid-sweep never reaches a snapshot, nor do
+the terms aliased in it.  a1 counts tiles, any of which may carry
+x1, so it is the top coordinate, unbounded.
 
 The slot width B is a proven bound.  A coefficient of profile m after
 c columns is a sum, over paths of column-table rows from the empty
@@ -141,13 +155,15 @@ class SeriesTable:
 
 class _Sweep:
     """Shared machinery: tile ops, cached column tables and, for three
-    rows, the slot width of the packed coefficients."""
+    rows, the slot layout and slot width of the packed coefficients."""
 
     def __init__(self, tiles: Sequence[Tile], board: BoardShape, n_max: int = 0):
         self.k = board.rows
         self.ring = ring_for(board.rows)
         self.stride = n_max + 1
-        ops: list[list[tuple[int, int, int, int]]] = [[] for _ in range(self.k)]
+        # (anchor row, bits, key delta, (k1, k2), (p, q), coefficient) per tile
+        found: list[tuple[int, int, int, tuple[int, int], tuple[int, int], int]] = []
+        self.class_layout = self.k == 3
         for t in tiles:
             bits = 0
             for dx, row in t.cells:
@@ -155,15 +171,22 @@ class _Sweep:
             if t.weight != UNIT_WEIGHT:
                 self.ring.index(t.weight)  # an unknown tag raises
             kd = {"x": 1, "x1": self.stride, "x23": 1}.get(t.weight, 0)
-            sd = 0
+            inc = cls = (0, 0)
             if self.k == 3:
                 rows = [row for _, row in t.cells]
                 k1 = rows.count(1) - (t.weight in ("x2", "x23"))
                 k2 = rows.count(2) - (t.weight in ("x3", "x23"))
                 if k1 < 0 or k2 < 0:
                     raise ValueError(f"weight {t.weight} names a row tile {t.cells} misses")
-                sd = k1 + self.stride * k2
-            ops[t.anchor_row].append((bits, kd, sd, t.coefficient))
+                x1 = t.weight == "x1"
+                inc, cls = (k1, k2), (x1 - k1, x1 - k2)
+                if min(cls) < 0 or (x1 and 0 not in rows):
+                    self.class_layout = False
+            found.append((t.anchor_row, bits, kd, inc, cls, t.coefficient))
+        ops: list[list[tuple[int, int, int, int]]] = [[] for _ in range(self.k)]
+        for row, bits, kd, inc, cls, cf in found:
+            p, q = cls if self.class_layout else inc
+            ops[row].append((bits, kd, p + self.stride * q, cf))
         self.ops_by_row = ops
         self._tables: dict[tuple[int, tuple[bool, ...]], list[tuple[int, int, int, int]]] = {}
         self.bits = self._slot_bits(board, n_max) if self.k == 3 else 0
@@ -264,13 +287,17 @@ class _Sweep:
                 self.ring, {(x,): c for x, c in packed.items() if c}
             )
         _, cells1, cells2 = row_lengths
+        # a2 = cells1 - a23 - k1, where k1 = a1 - p in the class layout
+        # and k1 = p in the incidence one; a3 likewise from q
+        sign = 1 if self.class_layout else -1
         terms = {}
         for key, v in packed.items():
             a1, a23 = divmod(key, self.stride)
-            row1, row2 = cells1 - a23, cells2 - a23
+            lead = a1 if self.class_layout else 0
+            row1, row2 = cells1 - a23 - lead, cells2 - a23 - lead
             for slot, c in balanced_digits(v, self.bits):
-                k2, k1 = divmod(slot, self.stride)
-                terms[a1, row1 - k1, row2 - k2, a23] = c
+                q, p = divmod(slot, self.stride)
+                terms[a1, row1 + sign * p, row2 + sign * q, a23] = c
         return WeightPolynomial.trusted(self.ring, terms)
 
 

@@ -312,8 +312,9 @@ def bareiss_determinant(
     for row in rows:
         for p in row:
             p._check(matrix[0][0])
-    nvars = ring.nvars
-    bound = sum(max((max(e) for p in row for e in p._terms), default=0) for row in rows)
+    # a ring of constants still decodes one (zero) digit per key check
+    nvars = max(ring.nvars, 1)
+    bound = sum(max((c for p in row for e in p._terms for c in e), default=0) for row in rows)
     stride = 2 * bound + 1
     m = [[_encode(p, stride) for p in row] for row in rows]
     prev = {0: 1}

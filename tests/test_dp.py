@@ -23,6 +23,7 @@ from latinrect.dp import (
     weight_snapshots,
 )
 from latinrect.poly import RING_2ROW, RING_KERNEL, WeightPolynomial
+from latinrect.sequences import TRAPEZOID_SPEC
 from latinrect.tiles import (
     UNIT_WEIGHT,
     ShiftSpec,
@@ -226,27 +227,49 @@ def slot_digits(v: int, bits: int) -> list[int]:
     return out
 
 
+def class_layout_applies(tiles: Sequence[Tile]) -> bool:
+    """Whether a 3-row alphabet can index its slots by tile classes:
+    each tile adds p = [x1] - k1 >= 0 and q = [x1] - k2 >= 0, k_r being
+    its row-r cells that its weight does not name, and each x1 tile has
+    a row-0 cell, so a1 <= n bounds p = a1 - k1 and q = a1 - k2."""
+    for t in tiles:
+        rows = [r for _, r in t.cells]
+        x1 = t.weight == "x1"
+        k1 = rows.count(1) - (t.weight in ("x2", "x23"))
+        k2 = rows.count(2) - (t.weight in ("x3", "x23"))
+        if x1 - k1 < 0 or x1 - k2 < 0 or (x1 and 0 not in rows):
+            return False
+    return True
+
+
+def unit_weight(tiles: Sequence[Tile]) -> list[Tile]:
+    return [Tile(t.cells, 1, UNIT_WEIGHT) for t in tiles]
+
+
 class TestUnpack:
     def test_fast_unpack_matches_validating_constructor(self, monkeypatch):
         """unpack finds the nonzero slots in bulk and skips
         WeightPolynomial's per-term check; decoding every slot one by
         one into the checking constructor must give the same
         polynomial for each snapshot of a 2-row, 3-row and mirrored
-        trapezoid sweep."""
+        trapezoid sweep, in the slot layout the tiles call for."""
         real = dpmod._Sweep.unpack
         seen = []
+        by_class = False
 
         def checked(self, packed, row_lengths):
             fast = real(self, packed, row_lengths)
             if self.k == 2:
                 terms = {(x,): c for x, c in packed.items()}
             else:
+                assert self.class_layout == by_class
                 _, cells1, cells2 = row_lengths
                 terms = {}
                 for key, v in packed.items():
                     a1, a23 = divmod(key, self.stride)
                     for slot, c in enumerate(slot_digits(v, self.bits)):
-                        k2, k1 = divmod(slot, self.stride)
+                        q, p = divmod(slot, self.stride)
+                        k1, k2 = (a1 - p, a1 - q) if by_class else (p, q)
                         terms[a1, cells1 - a23 - k1, cells2 - a23 - k2, a23] = c
             slow = WeightPolynomial(self.ring, terms)
             assert fast == slow
@@ -257,14 +280,18 @@ class TestUnpack:
 
         monkeypatch.setattr(dpmod._Sweep, "unpack", checked)
         cases = [
-            (ShiftSpec.two_rows({-2, 0, 1}), rectangle(2), 9),
-            (ShiftSpec.three_rows({0, 1}, {0}, {-1}), rectangle(3), 5),
-            (ShiftSpec.three_rows({0, -1}, {0, -2}, {0, -1}), trapezoid3(), 6),
-            (ShiftSpec.three_rows({1, 2}, {-1}, {0, 2}), trapezoid3(), 5),
+            (enumerate_tiles(ShiftSpec.two_rows({-2, 0, 1})), rectangle(2), 9),
+            (enumerate_tiles(ShiftSpec.three_rows({0, 1}, {0}, {-1})), rectangle(3), 5),
+            (enumerate_tiles(ShiftSpec.three_rows({0, -1}, {0, -2}, {0, -1})), trapezoid3(), 6),
+            (enumerate_tiles(ShiftSpec.three_rows({1, 2}, {-1}, {0, 2})), trapezoid3(), 5),
+            # a unit-weight alphabet falls back to incidence slots
+            (unit_weight(enumerate_tiles(ShiftSpec.three_rows({0, 1}, {0}, {-1}))),
+             rectangle(3), 4),
         ]
-        for spec, board, n_max in cases:
-            weight_series(enumerate_tiles(spec), board, n_max)
-        assert seen.count(1) == 9 and seen.count(4) == 5 + 4 + 3
+        for tiles, board, n_max in cases:
+            by_class = board.rows == 3 and class_layout_applies(tiles)
+            weight_series(tiles, board, n_max)
+        assert seen.count(1) == 9 and seen.count(4) == 5 + 4 + 3 + 4
 
 
 class TestPureStep:
@@ -374,6 +401,83 @@ class TestPackedSweep:
                      Tile(((0, 0), (0, 2)), -1, "x23")):
             with pytest.raises(ValueError, match="names a row"):
                 list(weight_snapshots([tile], rectangle(3), 2))
+
+
+def built_sweeps(monkeypatch) -> list:
+    """Every _Sweep built from now on, in order."""
+    built = []
+    real = dpmod._Sweep.__init__
+
+    def record(self, *args, **kw):
+        real(self, *args, **kw)
+        built.append(self)
+
+    monkeypatch.setattr(dpmod._Sweep, "__init__", record)
+    return built
+
+
+def retagged(tiles: Sequence[Tile], cells: tuple, weight: str) -> list[Tile]:
+    """The alphabet with the tile on these cells carrying this weight."""
+    assert any(t.cells == cells for t in tiles)
+    return [Tile(t.cells, t.coefficient, weight) if t.cells == cells else t for t in tiles]
+
+
+class TestSlotLayout:
+    """The 3-row slots count tile classes whenever the alphabet allows,
+    and fall back to row incidences otherwise."""
+
+    def test_tiles_alphabet_selects_class_layout(self, monkeypatch):
+        built = built_sweeps(monkeypatch)
+        specs = random_three_row_specs(2024, 20)
+        for spec in specs:
+            tiles = enumerate_tiles(spec)
+            assert class_layout_applies(tiles)
+            list(weight_snapshots(tiles, rectangle(3), 4))
+            list(weight_snapshots(tiles, trapezoid3(), 4))  # mirrored tiles
+        assert len(built) == 2 * len(specs)
+        assert all(s.class_layout for s in built)
+
+    @pytest.mark.parametrize("cells,weight", [
+        (((0, 0), (0, 1)), UNIT_WEIGHT),  # p = -1
+        (((0, 2),), "x1"),                # an x1 tile without a row-0 cell
+    ], ids=["unit-01", "x1-on-row-2"])
+    def test_hand_tagged_alphabet_falls_back(self, cells, weight, monkeypatch):
+        built = built_sweeps(monkeypatch)
+        spec = ShiftSpec.three_rows({0, 1}, {0, -1}, {0})
+        tiles = retagged(enumerate_tiles(spec), cells, weight)
+        # x1 on the row-0 singletons as well: with an x1 row-2
+        # singleton, p then reaches 2n, past the stride
+        tiles = retagged(tiles, ((0, 0),), "x1")
+        assert not class_layout_applies(tiles)
+        TestPackedSweep.check(spec, rectangle(3), 7, tiles)
+        TestPackedSweep.check(spec, trapezoid3(), 7, tiles)
+        assert len(built) == 2 and not any(s.class_layout for s in built)
+
+    @pytest.mark.parametrize("spec,board,n_max", [
+        (ShiftSpec.three_rows({-1, 0, 1}, {-2, 0, 2}, {-1, 0, 1}), rectangle(3), 10),
+        (TRAPEZOID_SPEC, trapezoid3(), 12),
+    ], ids=["super-latin", "trapezoid"])
+    def test_class_counts_stay_within_n(self, spec, board, n_max, monkeypatch):
+        """p, q <= n at snapshot n: the stride n_max + 1 keeps every
+        slot a snapshot reads apart from its neighbours."""
+        real = dpmod._Sweep.unpack
+        checked = []
+
+        def bounded(self, packed, row_lengths):
+            assert self.class_layout
+            n = row_lengths[0]
+            slots = [s for v in packed.values()
+                     for s, c in enumerate(slot_digits(v, self.bits)) if c]
+            assert slots
+            for slot in slots:
+                q, p = divmod(slot, self.stride)
+                assert 0 <= p <= n and 0 <= q <= n, (n, p, q)
+            checked.append(n)
+            return real(self, packed, row_lengths)
+
+        monkeypatch.setattr(dpmod._Sweep, "unpack", bounded)
+        list(weight_snapshots(enumerate_tiles(spec), board, n_max))
+        assert checked == list(range(max(board.min_n, 1), n_max + 1))
 
 
 class TestSlotBound:

@@ -223,6 +223,13 @@ class TestSolver:
         num, den = solve_linear_system(swap_columns(mat, 1), rhs)
         assert num.constant_term() * 1 == 2 * den.constant_term()
 
+    def test_ring_of_constants(self):
+        consts = PolyRing(())
+        c = consts.const
+        assert bareiss_determinant([[c(2)]], [c(4)]) == (c(4), c(2))
+        # [[2, 1], [1, 3]] with rhs (1, 2): det 5, and 3 with rhs as last column
+        assert bareiss_determinant([[c(2), c(1)], [c(1), c(3)]], [c(1), c(2)]) == (c(3), c(5))
+
     @pytest.mark.parametrize("ring", [RING_KERNEL, RING_3ROW], ids=["kernel", "3row"])
     def test_polynomial_determinants_vs_cofactors(self, ring):
         rng = random.Random(2718)
