@@ -24,13 +24,14 @@ weight_snapshots yields the snapshots one at a time: a caller that
 turns each P_n into a count and drops it holds one column's profiles
 and one unpacked P_n, however long the run.
 
-Each profile holds its polynomial as a dict from an integer key to an
-integer value.  In the 2-row ring the key is the x exponent and the
-value the coefficient.  The 3-row sweep keeps the exponents a1 and
-a23 of x1^a1 x2^a2 x3^a3 x23^a23, but in place of a2 and a3 it counts
-tile incidences: k_r is the number of row-r cells (r = 1, 2) covered
-by tiles weighted neither x23 nor x2 (row 1) or x3 (row 2).  For the
-tiles.py alphabet:
+Each profile holds its polynomial as a dense run: a list of the
+integer values at consecutive integer keys, starting at the run's
+first key, zeros included.  In the 2-row ring the key is the x
+exponent and the value the coefficient.  The 3-row sweep keeps the
+exponents a1 and a23 of x1^a1 x2^a2 x3^a3 x23^a23, but in place of a2
+and a3 it counts tile incidences: k_r is the number of row-r cells
+(r = 1, 2) covered by tiles weighted neither x23 nor x2 (row 1) or x3
+(row 2).  For the tiles.py alphabet:
   - a multi-cell tile touching row 0 adds 1 to a1, and 1 to k_r for
     each row r in {1, 2} it touches;
   - a tile on rows {1, 2} adds 1 to a23;
@@ -58,14 +59,21 @@ Key and value pack their pairs by one rule, with stride S = n_max+1:
 the key is a23 + S*a1, and the value packs every (p, q) of that key
 into one integer (Kronecker substitution): sum of c * 2^(B*(p +
 S*q)), with signed digits c.  A column table row is then a key delta
-kd, a slot delta sd and a coefficient cf, and applying it to (key, v)
-is key + kd and cf * (v << sd*B): a few C-level big-integer
-operations in place of one Python step per monomial.  In either
-layout a23 <= n and p <= n on every term of snapshot n <= n_max, so S
-keeps them apart; neither decreases along the sweep, so a profile
-where either passes n_max mid-sweep never reaches a snapshot, nor do
-the terms aliased in it.  a1 counts tiles, any of which may carry
-x1, so it is the top coordinate, unbounded.
+kd, a slot delta sd and a coefficient cf.  In either layout a23 <= n
+and p <= n on every term of snapshot n <= n_max, so S keeps them
+apart; neither decreases along the sweep, so a profile where either
+passes n_max mid-sweep never reaches a snapshot, nor do the terms
+aliased in it.  a1 counts tiles, any of which may carry x1, so it is
+the top coordinate, unbounded.
+
+advance first takes each target profile's key span over the table
+rows that reach it and allocates its run once.  Applying a row then
+adds cf * (v << sd*B), for each value v of the source run, into the
+target's slice moved up by kd: one C-level slice update (a map over
+the slice) in place of one Python step per monomial.  The first row
+to reach a target finds it all zeros, so it stores its values without
+the add.  A slice update holds the old and the new values of its
+slice at once, so long runs go in parts of _CHUNK slots.
 
 The slot width B is a proven bound.  A coefficient of profile m after
 c columns is a sum, over paths of column-table rows from the empty
@@ -81,9 +89,10 @@ signed digits into B-bit two's complement; bytes.translate and
 bytes.find then skip the zero slots in C, so Python touches only the
 nonzero terms.
 
-advance is a pure column step and keeps coefficients that cancel to
-zero, which are rare; unpack drops them once per snapshot (a zero
-packed value has no nonzero digit, a zero 2-row term is skipped).
+advance is a pure column step.  A run holds zeros at the keys no term
+reaches (30% of the slots at the widest column of a super-Latin N=10
+sweep, almost none on two rows) and where coefficients cancel; unpack
+skips them once per snapshot.
 
 The same column-transition table, read symbolically, gives the 2-row
 transfer system (I - X*T) G = e_empty over Z[x][[X]]; solving it
@@ -94,6 +103,8 @@ reproduce the sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, lshift, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .poly import (
@@ -151,6 +162,21 @@ class SeriesTable:
     @property
     def last_n(self) -> int:
         return self.first_n + len(self.polys) - 1
+
+
+#: most slots one slice update in advance touches
+_CHUNK = 128
+
+
+class _Run(list):
+    """A profile's polynomial: the values at keys first, first + 1, ...,
+    zeros included."""
+
+    __slots__ = ("first",)
+
+    def __init__(self, values: Iterable[int] = (), first: int = 0):
+        super().__init__(values)
+        self.first = first
 
 
 class _Sweep:
@@ -239,44 +265,48 @@ class _Sweep:
 
     def advance(
         self,
-        dist: dict[int, dict[int, int]],
+        dist: dict[int, _Run],
         blocked: tuple[bool, ...],
         empty_only: bool = False,
-    ) -> dict[int, dict[int, int]]:
+    ) -> dict[int, _Run]:
         """One column; with empty_only, only the empty profile is kept."""
-        bits = self.bits
-        ndist: dict[int, dict[int, int]] = {}
-        for mask, poly in dist.items():
-            items = poly.items()
+        rows = []
+        spans: dict[int, list[int]] = {}
+        for mask, run in dist.items():
+            n = len(run)
+            parts = [(run[i:i + _CHUNK], run.first + i) for i in range(0, n, _CHUNK)]
             for m2, kd, sd, cf in self.column_table(mask, blocked):
                 if m2 and empty_only:
                     continue
-                tgt = ndist.get(m2)
-                if tgt is None:
-                    tgt = ndist[m2] = {}
-                get = tgt.get
-                if sd:
-                    sh = sd * bits
-                    if cf == 1:
-                        for key, v in items:
-                            key += kd
-                            tgt[key] = get(key, 0) + (v << sh)
-                    else:
-                        for key, v in items:
-                            key += kd
-                            tgt[key] = get(key, 0) + cf * (v << sh)
-                elif cf == 1:
-                    for key, v in items:
-                        key += kd
-                        tgt[key] = get(key, 0) + v
+                lo = run.first + kd
+                span = spans.get(m2)
+                # the first row to reach a target finds it all zeros
+                rows.append((parts, m2, kd, sd, cf, span is None))
+                if span is None:
+                    spans[m2] = [lo, lo + n]
                 else:
-                    for key, v in items:
-                        key += kd
-                        tgt[key] = get(key, 0) + cf * v
+                    span[0] = min(span[0], lo)
+                    span[1] = max(span[1], lo + n)
+        ndist = {m2: _Run(repeat(0, hi - lo), lo) for m2, (lo, hi) in spans.items()}
+        bits = self.bits
+        for parts, m2, kd, sd, cf, fresh in rows:
+            tgt = ndist[m2]
+            for part, first in parts:
+                a = first + kd - tgt.first
+                b = a + len(part)
+                src = map(lshift, part, repeat(sd * bits)) if sd else part
+                if fresh:
+                    tgt[a:b] = src if cf == 1 else map(mul, src, repeat(cf))
+                elif cf == 1:
+                    tgt[a:b] = map(add, tgt[a:b], src)
+                elif cf == -1:
+                    tgt[a:b] = map(sub, tgt[a:b], src)
+                else:
+                    tgt[a:b] = map(add, tgt[a:b], map(mul, src, repeat(cf)))
         return ndist
 
     def unpack(
-        self, packed: dict[int, int], row_lengths: tuple[int, ...]
+        self, packed: _Run, row_lengths: tuple[int, ...]
     ) -> WeightPolynomial:
         """The polynomial of a snapshot's empty profile on a board whose
         rows have these lengths.  Zero coefficients are dropped here and
@@ -284,14 +314,16 @@ class _Sweep:
         no re-validation."""
         if self.k == 2:
             return WeightPolynomial.trusted(
-                self.ring, {(x,): c for x, c in packed.items() if c}
+                self.ring, {(x,): c for x, c in enumerate(packed, packed.first) if c}
             )
         _, cells1, cells2 = row_lengths
         # a2 = cells1 - a23 - k1, where k1 = a1 - p in the class layout
         # and k1 = p in the incidence one; a3 likewise from q
         sign = 1 if self.class_layout else -1
         terms = {}
-        for key, v in packed.items():
+        for key, v in enumerate(packed, packed.first):
+            if not v:
+                continue
             a1, a23 = divmod(key, self.stride)
             lead = a1 if self.class_layout else 0
             row1, row2 = cells1 - a23 - lead, cells2 - a23 - lead
@@ -348,14 +380,14 @@ def weight_snapshots(
             for t in tiles
         ]
     sweep = _Sweep(tiles, board, n_max)
-    dist: dict[int, dict[int, int]] = {0: {0: 1}}
+    dist = {0: _Run([1])}
     if board.min_n == 0:
         yield 0, sweep.ring.one()
     for n in range(1, n_max + 1):
         # nothing reads the profiles the last column leaves behind
         dist = sweep.advance(dist, board.blocked_flags(n - 1), empty_only=n == n_max)
         if n >= board.min_n:
-            yield n, sweep.unpack(dist.get(0, {}), board.row_lengths(n))
+            yield n, sweep.unpack(dist.get(0, _Run()), board.row_lengths(n))
 
 
 def weight_series(

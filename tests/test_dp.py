@@ -260,12 +260,12 @@ class TestUnpack:
         def checked(self, packed, row_lengths):
             fast = real(self, packed, row_lengths)
             if self.k == 2:
-                terms = {(x,): c for x, c in packed.items()}
+                terms = {(x,): c for x, c in enumerate(packed, packed.first)}
             else:
                 assert self.class_layout == by_class
                 _, cells1, cells2 = row_lengths
                 terms = {}
-                for key, v in packed.items():
+                for key, v in enumerate(packed, packed.first):
                     a1, a23 = divmod(key, self.stride)
                     for slot, c in enumerate(slot_digits(v, self.bits)):
                         q, p = divmod(slot, self.stride)
@@ -312,8 +312,10 @@ class TestPureStep:
 
         def with_zeros(self, dist, blocked, **kw):
             ndist = real(self, dist, blocked, **kw)
-            for bucket in ndist.values():
-                bucket[max(bucket, default=0) + 1] = 0
+            for run in ndist.values():
+                run.insert(0, 0)
+                run.first -= 1
+                run.append(0)
             return ndist
 
         monkeypatch.setattr(dpmod._Sweep, "advance", with_zeros)
@@ -328,7 +330,7 @@ class TestPureStep:
         real = dpmod._Sweep.advance
 
         def twice(self, dist, blocked, **kw):
-            real(self, {m: dict(p) for m, p in dist.items()}, blocked)
+            real(self, {m: dpmod._Run(p, p.first) for m, p in dist.items()}, blocked)
             return real(self, dist, blocked, **kw)
 
         monkeypatch.setattr(dpmod._Sweep, "advance", twice)
@@ -346,8 +348,8 @@ def random_three_row_specs(seed: int, count: int) -> list[ShiftSpec]:
 
 
 class TestPackedSweep:
-    """The packed 3-row engine against ReferenceSweep, snapshot by
-    snapshot."""
+    """The run-based engine of both ring sizes, packed slots on three
+    rows, against ReferenceSweep, snapshot by snapshot."""
 
     @staticmethod
     def check(spec: ShiftSpec, board: BoardShape, n_max: int, tiles=None) -> None:
@@ -380,6 +382,16 @@ class TestPackedSweep:
         x2, x3 = (ring_for(3).var(v) for v in ("x2", "x3"))
         for n, p in weight_snapshots(enumerate_tiles(free), trapezoid3(), 12):
             assert p == x2 ** (n - 1) * x3 ** (n - 2)
+
+    def test_two_row_random_shifts(self):
+        rng = random.Random(1212)
+        for _ in range(20):
+            shifts = {s for s in range(-3, 4) if rng.random() < 0.4}
+            self.check(ShiftSpec.two_rows(shifts), rectangle(2), 12)
+
+    @pytest.mark.parametrize("shifts", [{5}, {-4, 3}], ids=["5", "-4,3"])
+    def test_two_row_sparse_wide_shifts(self, shifts):
+        self.check(ShiftSpec.two_rows(shifts), rectangle(2), 12)
 
     def test_other_weight_tags(self):
         """Exact cover recovers x2 and x3 for any tags on tiles that
@@ -466,7 +478,7 @@ class TestSlotLayout:
         def bounded(self, packed, row_lengths):
             assert self.class_layout
             n = row_lengths[0]
-            slots = [s for v in packed.values()
+            slots = [s for v in packed
                      for s, c in enumerate(slot_digits(v, self.bits)) if c]
             assert slots
             for slot in slots:

@@ -11,9 +11,10 @@ DEEP_ORACLE jobs also run, in plain format: each family's brute-force
 counter at or near its cap, about 20 s per checkout.  The
 KERNEL_SETS, shift sets no workload runs (width 7 among them), also
 run as kernels in both formats, with and without `--dump-series 8`.
-The LONG_DUMPS jobs dump every P_n of a super-Latin sweep to N=16
-and of a trapezoid sweep to N=24, sizes no workload reaches, so whole
-weight polynomials are compared byte for byte, not only the counts.
+The LONG_DUMPS jobs dump every P_n of a super-Latin sweep to N=16,
+of a trapezoid sweep to N=24 and of a 2-row sweep of {-2,0,3} to
+N=60, sizes no workload reaches, so whole weight polynomials of both
+rings are compared byte for byte, not only the counts.
 One small job per engine command also runs with `--total` and with
 `--dump-tiles`, and two requests past an oracle cap check the usage
 error (exit 2).
@@ -54,6 +55,7 @@ KERNEL_SETS = ("0,1,2,3,4,5,6", "-2,0,3,4", "1,5")
 LONG_DUMPS = (
     ("glr3", *SUPER, "-N", "16", "--dump-series", "16"),
     ("trapezoid", "-N", "24", "--dump-series", "24"),
+    ("gen-der", "--shifts", "-2,0,3", "-N", "60", "--dump-series", "60"),
 )
 FLAG_JOBS = (
     ("gen-der", "--shifts", "0,1", "-N", "12"),
