@@ -24,9 +24,6 @@ pivot*a - fac*b taken before its division stays at most 2D < S per
 coordinate.  Adding keys then adds exponent vectors without a carry,
 no two monomials share a key, and int order is a lex order (x_k
 highest), so reducing by den's largest key is a lex reduction.
-exact_divide uses the same keys and the same reduction, with D the
-largest exponent coordinate of num and den: an exact quotient has no
-coordinate above num's, and every product q*d stays at most 2D < S.
 The division checks survive the encoding: a quotient coordinate is at
 most D when the division is exact, and a quotient key whose exponent
 difference has a negative coordinate is either negative or, at its
@@ -37,12 +34,17 @@ remainder raises PolynomialDivisionError, as a tuple division would.
 The margin matters for these checks only: the key map is a ring map
 (x_i -> t^(S^i)), so an exact division stays exact under any stride
 above D, and no input that divides can show a smaller stride.
+
+A RationalKernel's denominator has the constant 1 as its part free of
+the series variable, and the constructor refuses any other.  Every
+transfer kernel has it: the denominator solve_linear_system returns is
+det(I - X*T) itself, its sign kept, and at X = 0 that is det I = 1.
+So the series recurrence never divides.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -161,20 +163,6 @@ class WeightPolynomial:
         i = self.ring.index(name)
         return max(e[i] for e in self._terms)
 
-    def leading(self) -> tuple[tuple[int, ...], int]:
-        """(exponents, coefficient) of the lex-largest term."""
-        if not self._terms:
-            raise ValueError("zero polynomial has no leading term")
-        e = max(self._terms)
-        return e, self._terms[e]
-
-    def content(self) -> int:
-        """gcd of the coefficients, 0 for the zero polynomial."""
-        g = 0
-        for c in self._terms.values():
-            g = math.gcd(g, c)
-        return g
-
     # -- arithmetic ----------------------------------------------------
 
     def _check(self, other: "WeightPolynomial") -> None:
@@ -269,25 +257,6 @@ class WeightPolynomial:
 
     def __repr__(self) -> str:
         return f"<poly {self.canonical_str()}>"
-
-
-def exact_divide(num: WeightPolynomial, den: WeightPolynomial) -> WeightPolynomial:
-    """Quotient num/den when den divides num exactly, else raise.
-
-    One _divide_keys call on keys of stride 2D + 1, where D is the
-    largest exponent coordinate of num and den (see the module
-    docstring).
-    """
-    num._check(den)
-    if den.is_zero():
-        raise PolynomialDivisionError("division by the zero polynomial")
-    ring = num.ring
-    bound = max((c for p in (num, den) for e in p._terms for c in e), default=0)
-    stride = 2 * bound + 1
-    # a ring of constants still decodes one (zero) digit per key check
-    nvars = max(ring.nvars, 1)
-    quot = _divide_keys(_encode(num, stride), _encode(den, stride), stride, bound, nvars)
-    return _decode(quot, ring, stride)
 
 
 def bareiss_determinant(
@@ -411,17 +380,6 @@ def _divide_keys(
     remainder.
     """
     quot: dict[int, int] = {}
-    if len(den) == 1:
-        ((de, dc),) = den.items()
-        for k, c in num.items():
-            if not c:
-                continue
-            q, r = divmod(c, dc)
-            qk = k - de
-            if r or qk < 0 or max(_digits(qk, stride, nvars)) > bound:
-                raise _not_divisible(num, den)
-            quot[qk] = q
-        return quot
     de = max(den)
     dc = den[de]
     tail = [(k - de, c) for k, c in den.items() if k != de]
@@ -479,9 +437,9 @@ class RationalKernel:
     remaining ones.
 
     Stored split by the series variable: num[j] and den[j] are the
-    coefficient polynomials of series_var^j.  Normalized so the parts
-    have integer content 1 jointly and den[0] has positive leading
-    sign; for transfer kernels den[0] is then literally 1.
+    coefficient polynomials of series_var^j.  den[0] must be the
+    constant 1, as it is for every transfer kernel (see the module
+    docstring); any other den[0] raises ValueError.
     """
 
     __slots__ = ("ring", "series_var", "num", "den")
@@ -497,16 +455,11 @@ class RationalKernel:
         den = _trim(list(den))
         if not den:
             raise ZeroDivisionError("kernel with zero denominator")
-        g = 0
-        for p in (*num, *den):
-            g = math.gcd(g, p.content())
-        if g > 1:
-            num = [exact_divide(p, ring.const(g)) for p in num]
-            den = [exact_divide(p, ring.const(g)) for p in den]
-        lead = next(p for p in den if not p.is_zero())
-        if lead.leading()[1] < 0:
-            num = [-p for p in num]
-            den = [-p for p in den]
+        if not den[0].is_one():
+            raise ValueError(
+                f"kernel denominator must have constant term 1 in {series_var}, "
+                f"not {den[0].canonical_str()}"
+            )
         self.ring = ring
         self.series_var = series_var
         self.num = tuple(num)
@@ -559,18 +512,15 @@ class RationalKernel:
     def series(self, n_max: int) -> list[WeightPolynomial]:
         """Coefficients of series_var^0..n_max as polynomials.
 
-        Uses the linear recurrence den[0]*P_n = num[n] - sum_{j>=1}
-        den[j]*P_{n-j}; every division by den[0] must be exact.
+        Uses the linear recurrence P_n = num[n] - sum_{j>=1}
+        den[j]*P_{n-j}, since den[0] = 1.
         """
-        d0 = self.den[0]
-        if d0.is_zero():
-            raise ZeroDivisionError("denominator has no constant term in the series variable")
         out: list[WeightPolynomial] = []
         for n in range(n_max + 1):
             acc = self.num[n] if n < len(self.num) else self.ring.zero()
             for j in range(1, min(n, len(self.den) - 1) + 1):
                 acc = acc - self.den[j] * out[n - j]
-            out.append(acc if d0.is_one() else exact_divide(acc, d0))
+            out.append(acc)
         return out
 
     def __eq__(self, other: object) -> bool:

@@ -261,6 +261,14 @@ class TestHelp:
         for cmd in ("gen-der", "glr3", "trapezoid", "triangle", "kernel"):
             assert cmd in r.stdout
 
+    def test_kernel_help_states_the_span_limit(self, runner):
+        r = invoke(runner, "kernel", "--help")
+        assert r.exit_code == 0
+        text = " ".join(r.stdout.split())  # click rewraps the docstring
+        span = dpmod.MAX_KERNEL_SPAN
+        assert f"at most {span} columns" in text
+        assert f"up to {2 ** (span - 1)}." in text
+
     def test_version(self, runner):
         r = invoke(runner, "--version")
         assert r.exit_code == 0

@@ -1,7 +1,9 @@
-"""Ring arithmetic, exact division, the fraction-free solver, and
-rational kernels.  Solver results are checked against an independent
-Fraction-based elimination on randomized integer systems, and against
-cofactor expansion on randomized polynomial ones."""
+"""Ring arithmetic, the fraction-free solver with its keyed exact
+division, and rational kernels.  Solver results are checked against an
+independent Fraction-based elimination on randomized integer systems,
+and against cofactor expansion on randomized polynomial ones.  A
+kernel's denominator must have the constant 1 as its part free of the
+series variable; every other one is refused."""
 
 from __future__ import annotations
 
@@ -22,7 +24,6 @@ from latinrect.poly import (
     SingularSystemError,
     WeightPolynomial,
     bareiss_determinant,
-    exact_divide,
     solve_linear_system,
 )
 
@@ -92,12 +93,6 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             X ** (-1)
 
-    def test_content_and_leading(self):
-        p = 6 * X**2 - 4 * X
-        assert p.content() == 2
-        exps, coeff = p.leading()
-        assert exps == (2,) and coeff == 6
-
     def test_unhashable(self):
         # equal to a plain int, so no hash can agree with ==
         assert RING_2ROW.const(3) == 3
@@ -115,43 +110,6 @@ class TestCanonicalStr:
         r = RING_3ROW
         p = r.var("x2") * r.var("x3") - r.var("x23") + 2 * r.var("x1")
         assert p.canonical_str() == "2*x1 + x2*x3 - x23"
-
-
-class TestExactDivide:
-    @pytest.mark.parametrize("ring", [RING_2ROW, RING_3ROW, RING_KERNEL],
-                             ids=["2row", "3row", "kernel"])
-    def test_product_roundtrip_randomized(self, ring):
-        rng = random.Random(977)
-        for _ in range(30):
-            a = rand_poly(ring, rng)
-            b = rand_poly(ring, rng)
-            if b.is_zero():
-                continue
-            assert exact_divide(a * b, b) == a
-
-    @pytest.mark.parametrize("num, den", [
-        (X + 1, X),             # a term below den's lowest key
-        (BIG_X, X_K),           # X / x borrows across coordinates
-        (X_K, X_K**2),          # den's x coordinate is above num's
-        (3 * X_K, 2 * X_K),     # a coefficient remainder
-    ], ids=["negative-key", "borrow", "coordinate-above", "coefficient"])
-    def test_non_divisible_raises(self, num, den):
-        with pytest.raises(PolynomialDivisionError):
-            exact_divide(num, den)
-
-    def test_divide_by_zero_raises(self):
-        with pytest.raises(PolynomialDivisionError):
-            exact_divide(X, RING_2ROW.zero())
-
-    def test_ring_mismatch_raises_for_zero_dividend(self):
-        with pytest.raises(RingMismatchError):
-            exact_divide(RING_2ROW.zero(), RING_3ROW.one())
-
-    def test_ring_of_constants(self):
-        consts = PolyRing(())
-        assert exact_divide(consts.const(6), consts.const(-3)) == consts.const(-2)
-        with pytest.raises(PolynomialDivisionError):
-            exact_divide(consts.const(7), consts.const(2))
 
 
 def frac_solve(rows: list[list[int]], rhs: list[int]) -> list[Fraction] | None:
@@ -243,11 +201,14 @@ class TestSolver:
 
     @pytest.mark.parametrize("num, den", [
         (X_K + 1, X_K),                         # a term below den's lowest key
+        (RING_KERNEL.one(), BIG_X**4),          # negative key -20 whose digits (0, 1) fit
         (3 * X_K, 2 * X_K),                     # a one-term coefficient remainder
         (BIG_X, X_K),                           # X / x borrows across coordinates
+        (X_K**4, X_K),                          # the quotient x^3 is above the bound
         (X_K**2 + 1, X_K + 1),                  # remainder 2 after the quotient x - 1
         (X_K**2 + 2 * X_K + 2, 2 * X_K + 2),    # a coefficient remainder, several terms
-    ], ids=["negative-key", "coefficient", "borrow", "remainder", "multi-coefficient"])
+    ], ids=["negative-key", "negative-key-wraps", "coefficient", "borrow",
+            "coordinate-above", "remainder", "multi-coefficient"])
     def test_key_division_refuses_inexact(self, num, den):
         bound = 2  # every coordinate of a quotient, 4 of a dividend
         stride = 2 * bound + 1
@@ -330,19 +291,14 @@ class TestRationalKernel:
             assert p == (X - 1) ** n
 
     def test_normalized(self):
-        k = self.geometric()
-        assert k.normalized
-        k2 = RationalKernel(RING_2ROW, "X", (RING_2ROW.const(2),),
-                            (RING_2ROW.const(2), -2 * (X - 1)))
-        assert k2.normalized  # common content removed on construction
-        assert k2 == k
+        assert self.geometric().normalized
 
     def test_eq_by_cross_multiplication(self):
-        k = self.geometric()
-        num = (RING_2ROW.one() + X) * RING_2ROW.one()
-        den_parts = (num, -(X - 1) * num)
-        scaled = RationalKernel(RING_2ROW, "X", (num,), den_parts)
-        assert scaled == k
+        # (1 + X) / ((1 + X)(1 - (x-1) X)), stored apart from the geometric kernel
+        one = RING_2ROW.one()
+        scaled = RationalKernel(RING_2ROW, "X", (one, one), (one, 2 - X, -(X - 1)))
+        assert scaled.den != self.geometric().den
+        assert scaled == self.geometric()
 
     def test_unhashable(self):
         # equal as rational functions but stored apart, so no hash can
@@ -364,19 +320,16 @@ class TestRationalKernel:
         num, den = k.to_bivariate()
         assert RationalKernel.from_bivariate(num, den, "X") == k
 
-    def test_series_divides_by_non_unit_constant_term(self):
-        # (1+x) / ((1+x) - (1+x) X): every P_n is 1, as for 1/(1-X)
-        one, onex = RING_2ROW.one(), RING_2ROW.one() + X
-        k = RationalKernel(RING_2ROW, "X", (onex,), (onex, -onex))
-        assert not k.normalized
-        assert k.series(6) == [one] * 7
-        assert k == RationalKernel(RING_2ROW, "X", (one,), (one, -one))
-
-    def test_series_refuses_inexact_constant_term(self):
+    @pytest.mark.parametrize("den0", [
+        RING_2ROW.const(2),
+        RING_2ROW.const(-1),
+        RING_2ROW.one() + X,
+        RING_2ROW.zero(),
+    ], ids=["two", "minus-one", "one-plus-x", "zero"])
+    def test_constant_term_other_than_one_refused(self, den0):
         one = RING_2ROW.one()
-        k = RationalKernel(RING_2ROW, "X", (one,), (one + X, -one))
-        with pytest.raises(PolynomialDivisionError):
-            k.series(3)
+        with pytest.raises(ValueError, match="constant term 1"):
+            RationalKernel(RING_2ROW, "X", (one,), (den0, -one))
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):

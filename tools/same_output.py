@@ -14,7 +14,9 @@ run as kernels in both formats, with and without `--dump-series 8`.
 The LONG_DUMPS jobs dump every P_n of a super-Latin sweep to N=16,
 of a trapezoid sweep to N=24 and of a 2-row sweep of {-2,0,3} to
 N=60, sizes no workload reaches, so whole weight polynomials of both
-rings are compared byte for byte, not only the counts.
+rings are compared byte for byte, not only the counts.  They also
+expand the kernels of {0,1,-2} to P_60 and of width 7 (0..6) to P_30,
+so the kernel's series recurrence is compared far past P_8.
 One small job per engine command also runs with `--total` and with
 `--dump-tiles`, and two requests past an oracle cap check the usage
 error (exit 2).
@@ -56,6 +58,8 @@ LONG_DUMPS = (
     ("glr3", *SUPER, "-N", "16", "--dump-series", "16"),
     ("trapezoid", "-N", "24", "--dump-series", "24"),
     ("gen-der", "--shifts", "-2,0,3", "-N", "60", "--dump-series", "60"),
+    ("kernel", "--shifts", "0,1,-2", "--dump-series", "60"),
+    ("kernel", "--shifts", "0,1,2,3,4,5,6", "--dump-series", "30"),
 )
 FLAG_JOBS = (
     ("gen-der", "--shifts", "0,1", "-N", "12"),
