@@ -112,6 +112,47 @@ class TestCanonicalStr:
         assert p.canonical_str() == "2*x1 + x2*x3 - x23"
 
 
+def divide_keys(num: WeightPolynomial, den: WeightPolynomial, bound: int) -> WeightPolynomial:
+    """num / den by _divide_keys, on keys encoded as bareiss_determinant
+    encodes them: stride 2*bound + 1, and at least one digit per key."""
+    stride = 2 * bound + 1
+    quot = poly._divide_keys(poly._encode(num, stride), poly._encode(den, stride),
+                             stride, bound, max(num.ring.nvars, 1))
+    return poly._decode(quot, num.ring, stride)
+
+
+class TestExactDivide:
+    """The exact division that every Bareiss step runs on encoded keys."""
+
+    @pytest.mark.parametrize("ring", [RING_2ROW, RING_3ROW, RING_KERNEL],
+                             ids=["2row", "3row", "kernel"])
+    def test_product_roundtrip_randomized(self, ring):
+        rng = random.Random(977)
+        for _ in range(30):
+            a = rand_poly(ring, rng)
+            b = rand_poly(ring, rng)
+            if b.is_zero():
+                continue
+            assert divide_keys(a * b, b, 3) == a  # rand_poly's degree bound is 3
+
+    @pytest.mark.parametrize("num, den", [
+        (X + 1, X),                     # a term below den's lowest key
+        (RING_KERNEL.one(), BIG_X**4),  # negative key -20 whose digits (0, 1) fit
+        (BIG_X, X_K),                   # X / x borrows across coordinates
+        (X_K**4, X_K),                  # the quotient x^3 is above the bound
+        (3 * X_K, 2 * X_K),             # a coefficient remainder
+    ], ids=["negative-key", "negative-key-wraps", "borrow", "coordinate-above", "coefficient"])
+    def test_non_divisible_raises(self, num, den):
+        with pytest.raises(PolynomialDivisionError):
+            divide_keys(num, den, 2)
+
+    def test_ring_of_constants(self):
+        consts = PolyRing(())
+        assert divide_keys(consts.const(6), consts.const(-3), 0) == consts.const(-2)
+        with pytest.raises(PolynomialDivisionError):
+            divide_keys(consts.const(7), consts.const(2), 0)
+
+
 def frac_solve(rows: list[list[int]], rhs: list[int]) -> list[Fraction] | None:
     """Reference Gaussian elimination over Q; None if singular."""
     n = len(rows)
@@ -201,14 +242,11 @@ class TestSolver:
 
     @pytest.mark.parametrize("num, den", [
         (X_K + 1, X_K),                         # a term below den's lowest key
-        (RING_KERNEL.one(), BIG_X**4),          # negative key -20 whose digits (0, 1) fit
         (3 * X_K, 2 * X_K),                     # a one-term coefficient remainder
         (BIG_X, X_K),                           # X / x borrows across coordinates
-        (X_K**4, X_K),                          # the quotient x^3 is above the bound
         (X_K**2 + 1, X_K + 1),                  # remainder 2 after the quotient x - 1
         (X_K**2 + 2 * X_K + 2, 2 * X_K + 2),    # a coefficient remainder, several terms
-    ], ids=["negative-key", "negative-key-wraps", "coefficient", "borrow",
-            "coordinate-above", "remainder", "multi-coefficient"])
+    ], ids=["negative-key", "coefficient", "borrow", "remainder", "multi-coefficient"])
     def test_key_division_refuses_inexact(self, num, den):
         bound = 2  # every coordinate of a quotient, 4 of a dividend
         stride = 2 * bound + 1
@@ -320,12 +358,24 @@ class TestRationalKernel:
         num, den = k.to_bivariate()
         assert RationalKernel.from_bivariate(num, den, "X") == k
 
+    def test_series_divides_by_non_unit_constant_term(self):
+        # (1+x) / ((1+x) - (1+x) X) is refused, not divided down to 1/(1-X)
+        one, onex = RING_2ROW.one(), RING_2ROW.one() + X
+        with pytest.raises(ValueError, match="constant term 1"):
+            RationalKernel(RING_2ROW, "X", (onex,), (onex, -onex))
+        assert RationalKernel(RING_2ROW, "X", (one,), (one, -one)).series(6) == [one] * 7
+
+    def test_series_refuses_inexact_constant_term(self):
+        # 1 / ((1+x) - X) has no polynomial series; it is refused on construction
+        one = RING_2ROW.one()
+        with pytest.raises(ValueError, match="constant term 1"):
+            RationalKernel(RING_2ROW, "X", (one,), (one + X, -one))
+
     @pytest.mark.parametrize("den0", [
         RING_2ROW.const(2),
         RING_2ROW.const(-1),
-        RING_2ROW.one() + X,
         RING_2ROW.zero(),
-    ], ids=["two", "minus-one", "one-plus-x", "zero"])
+    ], ids=["two", "minus-one", "zero"])
     def test_constant_term_other_than_one_refused(self, den0):
         one = RING_2ROW.one()
         with pytest.raises(ValueError, match="constant term 1"):
