@@ -20,9 +20,13 @@ left-right, row r's missing cells become a blocked prefix of
 shortfalls[r] columns that does not depend on n, and board n+1 is
 again board n plus one full column on the right.
 
-weight_snapshots yields the snapshots one at a time: a caller that
-turns each P_n into a count and drops it holds one column's profiles
-and one unpacked P_n, however long the run.
+packed_snapshots yields the snapshots one at a time, each P_n still
+the run the sweep left at the empty profile (a Snapshot), so a caller
+that turns each P_n into a count and drops it holds one column's
+profiles and one run, however long the run.  The umbral operators
+count a Snapshot in place; only weight_snapshots, the --dump-series
+table and the oracle-mismatch report unpack it into a
+WeightPolynomial.
 
 Each profile holds its polynomial as a dense run: a list of the
 integer values at consecutive integer keys, starting at the run's
@@ -52,8 +56,8 @@ and q >= 0 and every x1 tile has a row-0 cell: then the x1 tiles sit
 on distinct row-0 cells, and 0 <= p, q <= a1 <= n on every term of
 snapshot n.  Any other alphabet (hand-tagged ones, unit weights among
 them) keeps the incidence layout p = k1, q = k2, where k1, k2 <= n by
-exact cover.  unpack maps (p, q) back to (k1, k2) by the affine map
-of the layout, chosen once.
+exact cover.  key_groups hands out every slot in class coordinates,
+mapping an incidence slot (k1, k2) to (a1 - k1, a1 - k2).
 
 Key and value pack their pairs by one rule, with stride S = n_max+1:
 the key is a23 + S*a1, and the value packs every (p, q) of that key
@@ -83,16 +87,22 @@ beta_{c+1}(m2) = sum of |cf| * beta_c(m) over table rows m -> m2.
 With 2^(B-1) > max beta over all columns and profiles, every digit
 satisfies |c| < 2^(B-1), and such signed digits are unique for a
 given integer.  So B is one sign bit over the bit length of that
-maximum, rounded up to whole bytes.  unpack decodes the empty profile
-only: adding 2^(B-1) to every slot and xor-ing it back turns the
-signed digits into B-bit two's complement; bytes.translate and
-bytes.find then skip the zero slots in C, so Python touches only the
-nonzero terms.
+maximum, rounded up to whole bytes.  Only the empty profile of a
+3-row snapshot is ever decoded, by key_groups, which both the count
+and unpack read.  Each nonzero key gives (a1, a23) and its value's
+q-rows: adding 2^(B-1) to every slot and xor-ing it back turns the
+signed digits into B-bit two's complement, bytes.translate, find and
+rfind locate in C the nonzero span of each q-row of S slots, and that
+span comes out as one int, cut into its digits by shifts.  So Python
+never touches the zero slots outside those spans: 74-80% of the
+snapshot slots of super-Latin N=14, trapezoid N=30 and Latin {0}^3
+N=40, whose spans hold no zero at all.  unpack then reads a_r =
+cells_r - a23 - a1 + p (r = 1) or + q (r = 2).
 
 advance is a pure column step.  A run holds zeros at the keys no term
 reaches (30% of the slots at the widest column of a super-Latin N=10
-sweep, almost none on two rows) and where coefficients cancel; unpack
-skips them once per snapshot.
+sweep, almost none on two rows) and where coefficients cancel; the
+decoding skips them once per snapshot.
 
 The same column-transition table, read symbolically, gives the 2-row
 transfer system (I - X*T) G = e_empty over Z[x][[X]]; solving it
@@ -110,6 +120,7 @@ from typing import Iterable, Iterator, Sequence
 from .poly import (
     RING_KERNEL,
     RationalKernel,
+    RingMismatchError,
     WeightPolynomial,
     solve_linear_system,
 )
@@ -177,6 +188,10 @@ class _Run(list):
     def __init__(self, values: Iterable[int] = (), first: int = 0):
         super().__init__(values)
         self.first = first
+
+
+#: (q, p, cs): a run of coefficients at slots p, p + 1, ... of q-row q
+_Row = tuple[int, int, list[int]]
 
 
 class _Sweep:
@@ -317,52 +332,107 @@ class _Sweep:
                 self.ring, {(x,): c for x, c in enumerate(packed, packed.first) if c}
             )
         _, cells1, cells2 = row_lengths
-        # a2 = cells1 - a23 - k1, where k1 = a1 - p in the class layout
-        # and k1 = p in the incidence one; a3 likewise from q
-        sign = 1 if self.class_layout else -1
         terms = {}
-        for key, v in enumerate(packed, packed.first):
-            if not v:
-                continue
-            a1, a23 = divmod(key, self.stride)
-            lead = a1 if self.class_layout else 0
-            row1, row2 = cells1 - a23 - lead, cells2 - a23 - lead
-            for slot, c in balanced_digits(v, self.bits):
-                q, p = divmod(slot, self.stride)
-                terms[a1, row1 + sign * p, row2 + sign * q, a23] = c
+        for a1, a23, rows in self.key_groups(packed):
+            # a_r = cells_r - a23 - k_r, where k1 = a1 - p and k2 = a1 - q
+            row1, row2 = cells1 - a23 - a1, cells2 - a23 - a1
+            for q, p, cs in rows:
+                for a2, c in enumerate(cs, row1 + p):
+                    if c:
+                        terms[a1, a2, row2 + q, a23] = c
         return WeightPolynomial.trusted(self.ring, terms)
+
+    def key_groups(self, packed: _Run) -> Iterator[tuple[int, int, Iterator[_Row]]]:
+        """(a1, a23, rows) for each nonzero key of a 3-row run.  rows
+        decodes the key's value only when iterated: (q, p, cs) for each
+        q-row that holds a nonzero coefficient, cs being the
+        coefficients at p, p + 1, ... through the row's last nonzero
+        one, in class coordinates whatever the layout: k1 = a1 - p and
+        k2 = a1 - q."""
+        for key, v in enumerate(packed, packed.first):
+            if v:
+                a1, a23 = divmod(key, self.stride)
+                rows = balanced_digits(v, self.bits, self.stride)
+                yield a1, a23, rows if self.class_layout else _reflected(rows, a1)
+
+
+def _reflected(rows: Iterator[_Row], a1: int) -> Iterator[_Row]:
+    """Incidence-layout rows (k2, k1, cs) in class coordinates."""
+    for k2, k1, cs in rows:
+        yield a1 - k2, a1 - k1 - len(cs) + 1, cs[::-1]
+
+
+class Snapshot:
+    """P_n at one column boundary, still the run of the empty profile
+    the sweep left there; len() is its slot count.  A count reads it in
+    place: dense_run() gives a 2-row snapshot's x coefficients and
+    key_groups() a 3-row one's decoded keys, as _Sweep.key_groups
+    describes.  poly() unpacks it into a WeightPolynomial."""
+
+    __slots__ = ("_sweep", "_run", "_row_lengths")
+
+    def __init__(self, sweep: _Sweep, run: _Run, row_lengths: tuple[int, ...]):
+        self._sweep, self._run, self._row_lengths = sweep, run, row_lengths
+
+    def __len__(self) -> int:
+        return len(self._run)
+
+    def poly(self) -> WeightPolynomial:
+        return self._sweep.unpack(self._run, self._row_lengths)
+
+    def _check_rows(self, k: int) -> None:
+        if self._sweep.k != k:
+            raise RingMismatchError(f"a {self._sweep.k}-row snapshot read as {k} rows")
+
+    def dense_run(self) -> tuple[int, list[int]]:
+        """(first, values): the coefficient of x^(first + i) is values[i]."""
+        self._check_rows(2)
+        return self._run.first, self._run
+
+    def key_groups(self) -> Iterator[tuple[int, int, Iterator[_Row]]]:
+        self._check_rows(3)
+        return self._sweep.key_groups(self._run)
 
 
 _NONZERO = bytes([0] + [1] * 255)
 
 
-def balanced_digits(v: int, bits: int) -> list[tuple[int, int]]:
-    """(s, d_s) for each nonzero digit of v = sum_s d_s * 2^(bits*s),
-    where |d_s| < 2^(bits-1) and bits is a multiple of 8.  The bulk
-    work is done by C-level int and bytes operations; Python touches
-    only the nonzero digits."""
+def balanced_digits(v: int, bits: int, width: int) -> Iterator[_Row]:
+    """The digits d_s of v = sum_s d_s * 2^(bits*s), where |d_s| <
+    2^(bits-1) and bits is a multiple of 8, cut into rows of width
+    slots: (r, i, ds) for each row r that holds a nonzero digit, ds
+    being d_s at s = r*width + i, r*width + i + 1, ... through the row's
+    last nonzero digit.  The bulk work is done by C-level int and bytes
+    operations, which skip the zero slots outside those spans."""
     step = bits // 8
     slots = abs(v).bit_length() // bits + 1
     half = int.from_bytes((bytes(step - 1) + b"\x80") * slots, "little")
     # slot by slot, v + half holds d_s + 2^(bits-1) in [1, 2^bits); the
     # xor turns it into d_s in two's complement, zero exactly when d_s is
-    raw = ((v + half) ^ half).to_bytes(step * slots, "little")
-    seen = raw.translate(_NONZERO)
-    out = []
+    biased = v + half
+    raw = biased.to_bytes(step * slots, "little")
+    seen = (biased ^ half).to_bytes(step * slots, "little").translate(_NONZERO)
+    mask, top = (1 << bits) - 1, 1 << (bits - 1)
+    span = width * step
     at = seen.find(1)
     while at >= 0:
+        r, i = divmod(at, span)
+        end = r * span + span
         start = at - at % step
-        end = start + step
-        out.append((start // step, int.from_bytes(raw[start:end], "little", signed=True)))
+        last = seen.rfind(1, at, end)
+        stop = last - last % step + step
+        row = int.from_bytes(raw[start:stop], "little")
+        shifts = range(0, 8 * (stop - start), bits)
+        yield r, i // step, [(row >> s & mask) - top for s in shifts]
         at = seen.find(1, end)
-    return out
 
 
-def weight_snapshots(
+def packed_snapshots(
     tiles: Sequence[Tile], board: BoardShape, n_max: int
-) -> Iterator[tuple[int, WeightPolynomial]]:
+) -> Iterator[tuple[int, Snapshot]]:
     """(n, P_n) for every board size from board.min_n up to n_max, from
-    one sweep, each yielded as its column boundary is reached.
+    one sweep, each yielded as its column boundary is reached, P_n as a
+    Snapshot.
 
     A board with short rows is swept mirrored: its blocked cells then
     form a fixed prefix, so the snapshot after column n-1 is P_n for
@@ -382,12 +452,22 @@ def weight_snapshots(
     sweep = _Sweep(tiles, board, n_max)
     dist = {0: _Run([1])}
     if board.min_n == 0:
-        yield 0, sweep.ring.one()
+        yield 0, Snapshot(sweep, _Run([1]), board.row_lengths(0))
     for n in range(1, n_max + 1):
         # nothing reads the profiles the last column leaves behind
         dist = sweep.advance(dist, board.blocked_flags(n - 1), empty_only=n == n_max)
         if n >= board.min_n:
-            yield n, sweep.unpack(dist.get(0, _Run()), board.row_lengths(n))
+            yield n, Snapshot(sweep, dist.get(0, _Run()), board.row_lengths(n))
+
+
+def weight_snapshots(
+    tiles: Sequence[Tile], board: BoardShape, n_max: int
+) -> Iterator[tuple[int, WeightPolynomial]]:
+    """packed_snapshots with each P_n unpacked: a caller that uses each
+    P_n once and drops it holds one column's profiles and one P_n,
+    however long the run."""
+    for n, snapshot in packed_snapshots(tiles, board, n_max):
+        yield n, snapshot.poly()
 
 
 def weight_series(

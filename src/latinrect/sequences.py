@@ -19,7 +19,7 @@ from typing import Any, Callable, Iterable, Mapping
 
 from . import __version__ as ENGINE_VERSION
 from . import oracle, umbra
-from .dp import BoardShape, rectangle, trapezoid3, weight_snapshots
+from .dp import BoardShape, packed_snapshots, rectangle, trapezoid3
 from .poly import WeightPolynomial
 from .tiles import ShiftSpec, dump_tiles, enumerate_tiles
 
@@ -130,6 +130,11 @@ class SequenceRecord:
         }
 
 
+def _check_n_terms(n_terms: int) -> None:
+    if n_terms < 1:
+        raise ValueError(f"need at least one term, got {n_terms}")
+
+
 def run_family(
     family: Family,
     params: Mapping[str, Iterable[int]],
@@ -143,6 +148,7 @@ def run_family(
     the sweep yields it, then dropped unless n <= series_to (the sweep
     runs on to series_to if needed)."""
     t0 = time.perf_counter()
+    _check_n_terms(n_terms)
     depth = family.default_depth if oracle_depth is None else oracle_depth
     if depth > family.oracle_cap:
         raise oracle.OracleLimitError(
@@ -157,12 +163,12 @@ def run_family(
     keep = -1 if series_to is None else series_to
     terms: list[int] = []
     series: dict[int, WeightPolynomial] = {}
-    for n, p in weight_snapshots(tiles, family.board, max(n_max, keep)):
+    for n, snapshot in packed_snapshots(tiles, family.board, max(n_max, keep)):
         if n <= keep:
-            series[n] = p
+            series[n] = snapshot.poly()
         if not first <= n <= n_max:
             continue
-        term = umbra.umbral_eval(family.umbral, p, n)
+        term = umbra.umbral_eval(family.umbral, snapshot, n)
         terms.append(term)
         if n <= depth:
             want = family.oracle(spec, n)
@@ -170,7 +176,7 @@ def run_family(
                 raise OracleMismatchError(
                     f"engine/oracle mismatch at n={n} for {family.name} "
                     f"{spec.describe()}: engine={term} oracle={want}",
-                    f"tiles:\n{dump_tiles(tiles)}\nP_{n} = {p.canonical_str()}",
+                    f"tiles:\n{dump_tiles(tiles)}\nP_{n} = {snapshot.poly().canonical_str()}",
                 )
     return SequenceRecord(
         family=family.name,
@@ -213,6 +219,7 @@ def trapezoid_seq(n_terms: int, oracle_depth: int | None = None) -> SequenceReco
 def triangle_seq(n_terms: int) -> SequenceRecord:
     """Latin triangles (rows n..1), oracle-only; terms for n = 3..n_terms+2."""
     t0 = time.perf_counter()
+    _check_n_terms(n_terms)
     n_max = n_terms + 2
     if n_max > oracle.MAX_N_TRIANGLE:
         raise oracle.OracleLimitError(
@@ -247,8 +254,6 @@ def run_job(
     series_to: int | None = None,
 ) -> SequenceRecord:
     """One job by family name; the other arguments are run_family's."""
-    if n_terms < 1:
-        raise ValueError(f"need at least one term, got {n_terms}")
     if family == TRIANGLE:
         return triangle_seq(n_terms)
     if family in FAMILIES:

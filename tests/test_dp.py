@@ -291,7 +291,8 @@ class TestUnpack:
         for tiles, board, n_max in cases:
             by_class = board.rows == 3 and class_layout_applies(tiles)
             weight_series(tiles, board, n_max)
-        assert seen.count(1) == 9 and seen.count(4) == 5 + 4 + 3 + 4
+        # P_0 of a rectangle is unpacked from the sweep's start run too
+        assert seen.count(1) == 10 and seen.count(4) == 6 + 4 + 3 + 5
 
 
 class TestPureStep:
@@ -489,7 +490,7 @@ class TestSlotLayout:
 
         monkeypatch.setattr(dpmod._Sweep, "unpack", bounded)
         list(weight_snapshots(enumerate_tiles(spec), board, n_max))
-        assert checked == list(range(max(board.min_n, 1), n_max + 1))
+        assert checked == list(range(board.min_n, n_max + 1))
 
 
 class TestSlotBound:
@@ -512,7 +513,7 @@ class TestSlotBound:
             weight_series(enumerate_tiles(spec), trapezoid3(), 6)
         super_latin = ShiftSpec.three_rows({-1, 0, 1}, {-2, 0, 2}, {-1, 0, 1})
         weight_series(enumerate_tiles(super_latin), rectangle(3), 9)
-        assert len(checked) == 12 * (6 + 4) + 9 and sum(checked) > 0
+        assert len(checked) == 12 * (7 + 4) + 10 and sum(checked) > 0
 
 
 class TestBalancedDigits:
@@ -521,13 +522,23 @@ class TestBalancedDigits:
         return sum(d << (bits * s) for s, d in digits.items())
 
     def decode(self, digits: dict[int, int], bits: int) -> dict[int, int]:
-        got = balanced_digits(self.pack(digits, bits), bits)
-        assert len({s for s, _ in got}) == len(got)
-        return dict(got)
+        """The nonzero digits, the same from rows of every width; each
+        row starts and ends at a nonzero digit inside its width."""
+        v = self.pack(digits, bits)
+        found = []
+        for width in (1, 3, 64):
+            got = {}
+            for r, i, ds in balanced_digits(v, bits, width):
+                assert ds[0] and ds[-1] and 0 <= i and i + len(ds) <= width
+                got.update((r * width + i + j, d) for j, d in enumerate(ds) if d)
+            found.append(got)
+        assert found[0] == found[1] == found[2]
+        return found[0]
 
     def test_zero(self):
         for bits in (8, 16, 120):
-            assert balanced_digits(0, bits) == []
+            for width in (1, 3, 64):
+                assert list(balanced_digits(0, bits, width)) == []
 
     def test_negative_digit_below_zero_slots(self):
         for bits in (8, 24):

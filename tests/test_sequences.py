@@ -5,7 +5,9 @@ corrupt the evaluator to prove a mismatch cannot pass silently."""
 from __future__ import annotations
 
 import math
+import random
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -28,7 +30,8 @@ from latinrect.sequences import (
     trapezoid_seq,
     triangle_seq,
 )
-from latinrect.tiles import enumerate_tiles
+from latinrect.tiles import UNIT_WEIGHT, ShiftSpec, enumerate_tiles
+from test_dp import random_three_row_specs, retagged
 
 MENAGE = [0, 0, 1, 3, 16, 96, 675, 5413, 48800, 488592]
 
@@ -172,6 +175,88 @@ class TestRunJob:
         with pytest.raises(ValueError):
             run_job(GEN_DER, {"shifts": [0]}, 0)
 
+    @pytest.mark.parametrize("n_terms", [0, -1])
+    @pytest.mark.parametrize("call", [
+        lambda n: gen_der_seq({0, 1}, n),
+        lambda n: glr3_seq({0}, {0}, {0}, n),
+        lambda n: trapezoid_seq(n),
+    ], ids=["gen_der_seq", "glr3_seq", "trapezoid_seq"])
+    def test_helpers_refuse_no_terms(self, call, n_terms):
+        # run_family refuses, not only run_job: the helpers call it directly
+        with pytest.raises(ValueError, match="at least one term"):
+            call(n_terms)
+
+
+def assert_terms_match_series_table(family, params, n_terms, tiles=None):
+    """run_family counts each P_n from the packed sweep; every count
+    must equal the umbral operator applied to the unpacked P_n."""
+    spec = family.spec({k: sorted(v) for k, v in params.items()})
+    tiles = enumerate_tiles(spec) if tiles is None else tiles
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(seqmod, "enumerate_tiles", lambda _: tiles)
+        rec = run_family(family, params, n_terms, oracle_depth=0)
+    table = weight_series(tiles, family.board, rec.last_n)
+    want = [seqmod.umbra.umbral_eval(family.umbral, table.poly(n), n)
+            for n in range(rec.offset, rec.last_n + 1)]
+    assert rec.terms == want, (spec.describe(), family.board)
+
+
+class TestDirectCount:
+    """The counts of run_family, taken straight from the packed runs,
+    against the operators on the unpacked P_n, at every n."""
+
+    def test_two_row_random_shifts(self):
+        rng = random.Random(1616)
+        for _ in range(20):
+            shifts = {s for s in range(-3, 4) if rng.random() < 0.4}
+            assert_terms_match_series_table(FAMILIES[GEN_DER], {"shifts": shifts}, 12)
+
+    @pytest.mark.parametrize("shifts", [{5}, {-4, 3}], ids=["5", "-4,3"])
+    def test_two_row_runs_starting_above_zero(self, shifts):
+        assert_terms_match_series_table(FAMILIES[GEN_DER], {"shifts": shifts}, 12)
+
+    def test_three_row_random_specs(self):
+        for spec in random_three_row_specs(1717, 10):
+            params = {"s12": spec.s12, "s13": spec.s13, "s23": spec.s23}
+            assert_terms_match_series_table(FAMILIES[GLR3], params, 7)
+            # the trapezoid board swept mirrored, under this spec's tiles
+            trap = replace(FAMILIES[TRAPEZOID], spec=lambda _, spec=spec: spec)
+            assert_terms_match_series_table(trap, {}, 6)
+
+    @pytest.mark.parametrize("cells,weight", [
+        (((0, 0), (0, 1)), UNIT_WEIGHT),
+        (((0, 2),), "x1"),
+    ], ids=["unit-01", "x1-on-row-2"])
+    def test_incidence_layout(self, cells, weight):
+        # the hand-tagged alphabets of TestSlotLayout in test_dp
+        params = {"s12": [0, 1], "s13": [-1, 0], "s23": [0]}
+        spec = ShiftSpec.three_rows(*params.values())
+        tiles = retagged(retagged(enumerate_tiles(spec), cells, weight), ((0, 0),), "x1")
+        trap = replace(FAMILIES[TRAPEZOID], spec=lambda _: spec)
+        assert_terms_match_series_table(FAMILIES[GLR3], params, 7, tiles)
+        assert_terms_match_series_table(trap, {}, 5, tiles)
+
+    @pytest.mark.parametrize("name,params,evaluator", [
+        (GEN_DER, {"shifts": [0, 1]}, "umbral_eval_2row"),
+        (GLR3, {"s12": [0, 1], "s13": [], "s23": [-1]}, "umbral_eval_3row"),
+    ])
+    def test_mismatch_reports_the_whole_polynomial(self, name, params, evaluator,
+                                                    monkeypatch):
+        true_eval = getattr(seqmod.umbra, evaluator)
+        calls = []
+
+        def corrupted(p, *n):
+            calls.append(p)
+            return true_eval(p, *n) + (len(calls) == 3)
+
+        monkeypatch.setattr(seqmod.umbra, evaluator, corrupted)
+        with pytest.raises(OracleMismatchError) as exc:
+            run_family(FAMILIES[name], params, 6)
+        family = FAMILIES[name]
+        table = weight_series(enumerate_tiles(family.spec(params)), family.board, 3)
+        assert exc.value.diagnostics.endswith(f"\nP_3 = {table.poly(3).canonical_str()}")
+        assert len(table.poly(3)) > 3
+
 
 class TestStreaming:
     @pytest.mark.parametrize("name,params,n_terms", [
@@ -180,13 +265,7 @@ class TestStreaming:
         (TRAPEZOID, {}, 6),
     ])
     def test_terms_match_series_table(self, name, params, n_terms):
-        family = FAMILIES[name]
-        rec = run_family(family, params, n_terms, oracle_depth=0)
-        spec = family.spec({k: sorted(v) for k, v in params.items()})
-        table = weight_series(enumerate_tiles(spec), family.board, rec.last_n)
-        want = [seqmod.umbra.umbral_eval(family.umbral, table.poly(n), n)
-                for n in range(rec.offset, rec.last_n + 1)]
-        assert rec.terms == want
+        assert_terms_match_series_table(FAMILIES[name], params, n_terms)
 
     def test_series_handed_back(self):
         family = FAMILIES[TRAPEZOID]

@@ -17,6 +17,11 @@ N=60, sizes no workload reaches, so whole weight polynomials of both
 rings are compared byte for byte, not only the counts.  They also
 expand the kernels of {0,1,-2} to P_60 and of width 7 (0..6) to P_30,
 so the kernel's series recurrence is compared far past P_8.
+The LONG_COUNTS jobs print counts only, on inputs where counting
+straight from the packed sweep does most of the work and no workload
+reaches: Latin {0}^3 to N=40, where decoding and evaluating the
+packed snapshots take about 90% of the run, and the 2-row set {5},
+whose runs start above x^0.
 One small job per engine command also runs with `--total` and with
 `--dump-tiles`, and two requests past an oracle cap check the usage
 error (exit 2).
@@ -61,6 +66,10 @@ LONG_DUMPS = (
     ("kernel", "--shifts", "0,1,-2", "--dump-series", "60"),
     ("kernel", "--shifts", "0,1,2,3,4,5,6", "--dump-series", "30"),
 )
+LONG_COUNTS = (
+    ("glr3", "--s12", "0", "--s13", "0", "--s23", "0", "-N", "40"),
+    ("gen-der", "--shifts", "5", "-N", "12"),
+)
 FLAG_JOBS = (
     ("gen-der", "--shifts", "0,1", "-N", "12"),
     ("glr3", *SUPER, "-N", "6"),
@@ -86,7 +95,7 @@ def command_lines() -> list[tuple[str, ...]]:
         for fmt in FORMATS["kernel"]:
             lines.append(("kernel", "--shifts", shifts, "-f", fmt))
             lines.append(("kernel", "--shifts", shifts, "-f", fmt, "--dump-series", "8"))
-    for job in DEEP_ORACLE + LONG_DUMPS:
+    for job in DEEP_ORACLE + LONG_DUMPS + LONG_COUNTS:
         lines += [(*args, "-f", "plain") for args in dict.fromkeys((job, mirrored(job)))]
     lines += [(*job, flag) for job in FLAG_JOBS for flag in ("--total", "--dump-tiles")]
     return lines + list(USAGE_ERRORS)
