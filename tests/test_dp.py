@@ -523,14 +523,20 @@ class TestBalancedDigits:
 
     def decode(self, digits: dict[int, int], bits: int) -> dict[int, int]:
         """The nonzero digits, the same from rows of every width; each
-        row starts and ends at a nonzero digit inside its width."""
+        row starts and ends at a nonzero digit inside its width, rows
+        come in strictly increasing order, and no slot is reported
+        twice."""
         v = self.pack(digits, bits)
         found = []
         for width in (1, 3, 64):
-            got = {}
+            got, rows, nonzero = {}, [], 0
             for r, i, ds in balanced_digits(v, bits, width):
                 assert ds[0] and ds[-1] and 0 <= i and i + len(ds) <= width
                 got.update((r * width + i + j, d) for j, d in enumerate(ds) if d)
+                rows.append(r)
+                nonzero += sum(1 for d in ds if d)
+            assert all(a < b for a, b in zip(rows, rows[1:]))
+            assert nonzero == len(got)
             found.append(got)
         assert found[0] == found[1] == found[2]
         return found[0]
