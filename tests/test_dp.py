@@ -516,6 +516,101 @@ class TestSlotBound:
         assert len(checked) == 12 * (7 + 4) + 10 and sum(checked) > 0
 
 
+class TestLiveProfiles:
+    """packed_snapshots keeps at each boundary only the profiles that
+    are empty or can still drain to the empty profile by n_max, and each
+    run it keeps is the run of a sweep that keeps every target."""
+
+    @staticmethod
+    def columns(tiles, board, n_max, monkeypatch) -> list:
+        """(sweep, blocked, kept profiles) for each column packed_snapshots
+        advances over."""
+        real = dpmod._Sweep.advance
+        seen = []
+
+        def recorded(self, dist, blocked, **kw):
+            ndist = real(self, dist, blocked, **kw)
+            seen.append((self, blocked, ndist))
+            return ndist
+
+        monkeypatch.setattr(dpmod._Sweep, "advance", recorded)
+        for _ in dpmod.packed_snapshots(tiles, board, n_max):
+            pass
+        monkeypatch.setattr(dpmod._Sweep, "advance", real)
+        assert len(seen) == n_max
+        return seen
+
+    def check(self, tiles, board, n_max, monkeypatch) -> list[tuple[int, int]]:
+        """Checks the kept profiles of one sweep against a live=None
+        sweep; (kept, reached) profile counts per boundary."""
+        columns = self.columns(tiles, board, n_max, monkeypatch)
+        sweep = columns[0][0]
+        drains: dict[tuple[int, int], bool] = {}
+
+        def can_drain(mask: int, c: int) -> bool:
+            if (mask, c) not in drains:
+                drains[mask, c] = mask == 0 or c < n_max and any(
+                    can_drain(m2, c + 1)
+                    for m2, *_ in sweep.column_table(mask, board.blocked_flags(c)))
+            return drains[mask, c]
+
+        full = {0: dpmod._Run([1])}
+        kept_before = {0}
+        counts = []
+        for c, (_, blocked, kept) in enumerate(columns, 1):
+            reached_before = set(full)
+            full = sweep.advance(full, blocked)
+            for mask, run in kept.items():
+                assert can_drain(mask, c), (mask, c)
+                assert run.first == full[mask].first and run == full[mask], (mask, c)
+            for mask in reached_before - kept_before:
+                targets = {m2 for m2, *_ in sweep.column_table(mask, blocked)}
+                assert targets.isdisjoint(kept), (mask, c - 1)
+            kept_before = set(kept)
+            counts.append((len(kept), len(full)))
+        return counts
+
+    def test_random_specs_both_boards(self, monkeypatch):
+        pruned = 0
+        for spec in random_three_row_specs(3141, 10):
+            tiles = enumerate_tiles(spec)
+            for board, n_max in ((rectangle(3), 6), (trapezoid3(), 7)):
+                counts = self.check(tiles, board, n_max, monkeypatch)
+                pruned += sum(k < r for k, r in counts)
+        assert pruned
+
+    def test_random_two_row_sets(self, monkeypatch):
+        rng = random.Random(2718)
+        for _ in range(10):
+            shifts = {s for s in range(-3, 4) if rng.random() < 0.4}
+            self.check(enumerate_tiles(ShiftSpec.two_rows(shifts)), rectangle(2), 10,
+                       monkeypatch)
+
+    def test_prune_is_not_vacuous(self, monkeypatch):
+        super_latin = ShiftSpec.three_rows({-1, 0, 1}, {-2, 0, 2}, {-1, 0, 1})
+        counts = self.check(enumerate_tiles(super_latin), rectangle(3), 7, monkeypatch)
+        kept, reached = counts[-2]
+        assert kept < reached
+        assert counts[-1] == (1, reached)
+
+    def test_interior_empty_profile_kept(self, monkeypatch):
+        """With these tags the one-column tilings of an empty column
+        cancel, so the empty profile after column 4 has no table row to
+        the empty profile after column 5.  P_4 is read there all the
+        same, so the empty profile is kept at every boundary."""
+        tiles = enumerate_tiles(ShiftSpec.three_rows(set(), {0, 2}, set()))
+        for cells, weight in ((((0, 1),), "x1"), (((0, 2),), UNIT_WEIGHT),
+                              (((0, 0), (0, 2)), UNIT_WEIGHT), (((0, 0), (2, 2)), "x1")):
+            tiles = retagged(tiles, cells, weight)
+        x1 = ring_for(3).var("x1")
+        empty_rows = dpmod._Sweep(tiles, rectangle(3), 5).column_table(0, (False,) * 3)
+        assert 0 not in {m for m, *_ in empty_rows}
+        series = weight_series(tiles, rectangle(3), 5)
+        assert series.poly(4) == x1 ** 6
+        assert list(series.polys) == [p for _, p in reference_snapshots(tiles, rectangle(3), 5)]
+        self.check(tiles, rectangle(3), 5, monkeypatch)
+
+
 class TestBalancedDigits:
     @staticmethod
     def pack(digits: dict[int, int], bits: int) -> int:

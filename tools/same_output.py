@@ -16,7 +16,10 @@ of a trapezoid sweep to N=24 and of a 2-row sweep of {-2,0,3} to
 N=60, sizes no workload reaches, so whole weight polynomials of both
 rings are compared byte for byte, not only the counts.  They also
 expand the kernels of {0,1,-2} to P_60 and of width 7 (0..6) to P_30,
-so the kernel's series recurrence is compared far past P_8.
+so the kernel's series recurrence is compared far past P_8.  A wide
+3-row spec swept to N=6 is dumped too: most of the profiles that sweep
+reaches in its last columns can no longer drain to the empty profile,
+so its P_n check the live-profile prune where it removes the most.
 The LONG_COUNTS jobs print counts only, on inputs where counting
 straight from the packed sweep does most of the work and no workload
 reaches: Latin {0}^3 to N=40, where decoding and evaluating the
@@ -63,6 +66,8 @@ LONG_DUMPS = (
     ("glr3", *SUPER, "-N", "16", "--dump-series", "16"),
     ("trapezoid", "-N", "24", "--dump-series", "24"),
     ("gen-der", "--shifts", "-2,0,3", "-N", "60", "--dump-series", "60"),
+    ("glr3", "--s12", "-3,0,2", "--s13", "-2,1,3", "--s23", "-3,-1,0,3", "-N", "6",
+     "--dump-series", "6"),
     ("kernel", "--shifts", "0,1,-2", "--dump-series", "60"),
     ("kernel", "--shifts", "0,1,2,3,4,5,6", "--dump-series", "30"),
 )
