@@ -22,11 +22,23 @@ backtracks the middle rows and counts the last row by a subset DP for
 the permanent (Ryser, Combinatorial Mathematics, 1963).  The DP is
 carried down the row before the last and stepped as soon as a
 last-row cell's bans are fixed, so every middle row with a common
-prefix shares its completions.  No tilings, no generating functions,
-no shared logic with the fast engine, which is trusted only because
-it agrees with these counters on every instance the test suite throws
-at both.  The exact-cover enumerator at the end is the one place that
-handles tiles: it covers a board with them by plain recursion.
+prefix shares its completions.
+
+The DP state is one int of 2^n fields, each (n!).bit_length() + 1
+bits wide, and field i counts the prefixes whose set of used values
+is i (value v is bit v - 1 of i).  A step takes, for each allowed
+value v, the fields whose set lacks v and adds them, shifted up, to
+the fields of that set plus v: one mask and one shift per value.
+Every field and the sum of all of them count injective prefixes over
+n values, at most n!, which is below 2^width - 1.  So no field carries
+into the next, and the count at the end, the sum of the fields, is
+the state modulo 2^width - 1.
+
+No tilings, no generating functions, no shared logic with the fast
+engine, which is trusted only because it agrees with these counters
+on every instance the test suite throws at both.  The exact-cover
+enumerator at the end is the one place that handles tiles: it covers
+a board with them by plain recursion.
 """
 
 from __future__ import annotations
@@ -55,30 +67,44 @@ def _guard(n: int, cap: int, what: str) -> None:
 # -- the shared counter -------------------------------------------------
 
 
-def _step(dp: dict[int, int], allowed: int) -> dict[int, int]:
+def _packing(n: int) -> tuple[int, dict[int, tuple[int, int]]]:
+    """The layout of a packed subset DP over the values 1..n: the
+    modulus 2^width - 1 that sums the fields, and for each value's bit
+    (bit v for value v) the mask of the fields whose set lacks v and
+    the shift that adds v to their set."""
+    width = math.factorial(n).bit_length() + 1
+    moves = {}
+    for v in range(1, n + 1):
+        # the low `half` fields of every block of 2 * half lack v
+        half = span = 1 << v - 1
+        keep = (1 << half * width) - 1
+        while span < 1 << n - 1:
+            span *= 2
+            keep |= keep << span * width
+        moves[1 << v] = (keep, half * width)
+    return (1 << width) - 1, moves
+
+
+def _step(state: int, allowed: int, moves: Mapping[int, tuple[int, int]]) -> int:
     """One position of a subset DP for the permanent of a 0/1 matrix
-    (Ryser 1963): dp maps the set of values used so far, as a bitmask,
-    to the number of injective prefixes using exactly that set; each
-    prefix is extended by every unused value in `allowed`."""
-    ndp: dict[int, int] = {}
-    for used, ways in dp.items():
-        free = allowed & ~used
-        while free:
-            bit = free & -free
-            free ^= bit
-            key = used | bit
-            ndp[key] = ndp.get(key, 0) + ways
-    return ndp
+    (Ryser 1963): every prefix is extended by each unused value in
+    `allowed`, which moves its count from the field of its set to the
+    field of that set plus the value."""
+    out = 0
+    for bit, (keep, shift) in moves.items():
+        if allowed & bit:
+            out += (state & keep) << shift
+    return out
 
 
-def _count_injective(allowed: Sequence[int]) -> int:
-    """Number of injective value assignments, allowed[i] a bitmask."""
-    dp = {0: 1}
+def _count_injective(n: int, allowed: Sequence[int]) -> int:
+    """Number of injective assignments of values 1..n, allowed[i] a
+    bitmask with bit v for value v."""
+    fold, moves = _packing(n)
+    state = 1
     for am in allowed:
-        dp = _step(dp, am)
-        if not dp:
-            return 0
-    return sum(dp.values())
+        state = _step(state, am, moves)
+    return state % fold
 
 
 def _count_rows(
@@ -88,8 +114,8 @@ def _count_rows(
     s in bans[a, b] bans row-b cell m from the row-a entry at m - s.
     Rows 1..k-2 are backtracked.  Last-row cell m reads the row before
     it up to m + lookahead; it is stepped once that row is filled that
-    far, every middle row with that prefix shares the result, and an
-    empty DP ends the branch."""
+    far, every middle row with that prefix shares the result, and a
+    zero state ends the branch."""
     k = len(lengths)
     if k == 1:
         return 1
@@ -117,16 +143,17 @@ def _count_rows(
 
     last, mid = k - 1, k - 2
     if mid == 0:
-        return _count_injective([base[last][m] for m in range(1, lengths[last] + 1)])
+        return _count_injective(n, [base[last][m] for m in range(1, lengths[last] + 1)])
     # due[m]: the last-row cells whose bans middle-row cell m completes
     lookahead = max(0, -min(bans.get((mid, last), ()), default=0))
     due = [range(max(1, m - lookahead), min(m - lookahead, lengths[last]) + 1)
            for m in range(lengths[mid])]
     due.append(range(max(1, lengths[mid] - lookahead), lengths[last] + 1))
+    fold, moves = _packing(n)
 
-    def go(r: int, m: int, used: int, dp: dict[int, int]) -> int:
+    def go(r: int, m: int, used: int, state: int) -> int:
         if m > lengths[r]:
-            return sum(dp.values()) if r == mid else go(r + 1, 1, 0, dp)
+            return state % fold if r == mid else go(r + 1, 1, 0, state)
         total = 0
         row = rows[r]
         cells = due[m] if r == mid else ()
@@ -135,16 +162,16 @@ def _count_rows(
             bit = free & -free
             free ^= bit
             row[m] = bit
-            nxt = dp
+            nxt = state
             for c in cells:
-                nxt = _step(nxt, allowed(last, c))
+                nxt = _step(nxt, allowed(last, c), moves)
                 if not nxt:
                     break
             if nxt:
                 total += go(r, m + 1, used | bit, nxt)
         return total
 
-    return go(1, 1, 0, {0: 1})
+    return go(1, 1, 0, 1)
 
 
 def _triangle_bans(k: int) -> dict[tuple[int, int], set[int]]:
@@ -229,7 +256,7 @@ def count_latin3_cycle_type(n: int) -> int:
             class_size //= length**m * math.factorial(m)
         full = (1 << (n + 1)) - 2
         allowed = [full & ~(1 << m) & ~(1 << rep[m]) for m in range(1, n + 1)]
-        total += class_size * _count_injective(allowed)
+        total += class_size * _count_injective(n, allowed)
     return total
 
 

@@ -6,6 +6,8 @@ every object they count."""
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 
 import pytest
@@ -233,3 +235,34 @@ class TestCountersAgainstWitnesses:
     def test_triangles(self):
         for n in range(1, 7):
             assert count_latin_triangle(n) == sum(1 for _ in iter_latin_triangles(n))
+
+
+class TestPackedPermanent:
+    """The last-row DP packs one count per used-value set into an int;
+    these drive it directly through _count_injective."""
+
+    def test_full_rows_fill_the_widest_fields(self):
+        # n!/(n-c)! prefixes of length c: n! at c = n is the largest field
+        # sum the width has to hold
+        n = oracle.MAX_N_TWO_ROWS
+        full = (1 << n + 1) - 2
+        for c in range(n + 1):
+            want = math.factorial(n) // math.factorial(n - c)
+            assert oracle._count_injective(n, [full] * c) == want, c
+
+    def test_a_row_with_no_value_gives_zero(self):
+        full = (1 << 5) - 2
+        assert oracle._count_injective(4, [full, 0, full]) == 0
+        assert oracle._count_injective(4, [0]) == 0
+
+    def test_no_values_one_empty_assignment(self):
+        assert oracle._count_injective(0, []) == 1
+
+    def test_random_masks_against_permutations(self):
+        rng = random.Random(64)
+        for n in range(1, 8):
+            for _ in range(6):
+                allowed = [rng.getrandbits(n) << 1 for _ in range(rng.randint(1, n))]
+                want = sum(all(am >> v & 1 for am, v in zip(allowed, perm))
+                           for perm in itertools.permutations(range(1, n + 1), len(allowed)))
+                assert oracle._count_injective(n, allowed) == want, (n, allowed)

@@ -8,9 +8,13 @@ shift set S replaced by -S, in every output format its command takes
 the command has that option, plus `--help` of the CLI and of every
 command.  The benchmark's oracle depths stop short of the caps, so the
 DEEP_ORACLE jobs also run, in plain format: each family's brute-force
-counter at or near its cap, about 20 s per checkout.  The
-KERNEL_SETS, shift sets no workload runs (width 7 among them), also
-run as kernels in both formats, with and without `--dump-series 8`.
+counter at or near its cap, about 11 s per checkout.  glr3 runs at
+its cap on super-Latin, on Latin {0}^3, with every set empty (every
+value allowed in every cell, the densest masks the last-row DP steps)
+and on a spec whose s23 holds -2 (a last-row cell waits for the
+middle cell two places on).  The KERNEL_SETS, shift sets no workload
+runs (width 7 among them), also run as kernels in both formats, with
+and without `--dump-series 8`.
 The LONG_DUMPS jobs dump every P_n of a super-Latin sweep to N=16,
 of a trapezoid sweep to N=24 and of a 2-row sweep of {-2,0,3} to
 N=60, sizes no workload reaches, so whole weight polynomials of both
@@ -58,6 +62,8 @@ DEEP_ORACLE = (
     ("gen-der", "--shifts", "0,1", "-N", "11", "--oracle-depth", "11"),
     ("glr3", "--s12", "0", "--s13", "0", "--s23", "0", "-N", "8", "--oracle-depth", "8"),
     ("glr3", *SUPER, "-N", "8", "--oracle-depth", "8"),
+    ("glr3", "--s12", "", "--s13", "", "--s23", "", "-N", "8", "--oracle-depth", "8"),
+    ("glr3", "--s12", "0", "--s13", "0", "--s23", "-2,0", "-N", "8", "--oracle-depth", "8"),
     ("trapezoid", "-N", "7", "--oracle-depth", "9"),
     ("triangle", "--n", "7"),
 )
@@ -101,7 +107,9 @@ def command_lines() -> list[tuple[str, ...]]:
             lines.append(("kernel", "--shifts", shifts, "-f", fmt))
             lines.append(("kernel", "--shifts", shifts, "-f", fmt, "--dump-series", "8"))
     for job in DEEP_ORACLE + LONG_DUMPS + LONG_COUNTS:
-        lines += [(*args, "-f", "plain") for args in dict.fromkeys((job, mirrored(job)))]
+        # mirrored() cannot parse an empty set; the all-empty job is its own mirror
+        mirror = job if "" in job else mirrored(job)
+        lines += [(*args, "-f", "plain") for args in dict.fromkeys((job, mirror))]
     lines += [(*job, flag) for job in FLAG_JOBS for flag in ("--total", "--dump-tiles")]
     return lines + list(USAGE_ERRORS)
 
