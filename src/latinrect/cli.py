@@ -5,6 +5,12 @@ for); 1 unexpected error; 2 usage error; 3 engine/oracle mismatch;
 4 OEIS mismatch; 5 OEIS check unverifiable (offline with no cache,
 a cached b-file that does not parse, or no overlapping terms).  A
 requested check never passes silently.
+
+Each command imports its engine modules when it runs, not when this
+module loads: start-up is most of a short job, and the sources are
+recompiled whenever bytecode is not cached, so a `kernel` job should
+not pay for the sequence, oracle, umbral and OEIS modules it never
+calls.
 """
 
 from __future__ import annotations
@@ -13,25 +19,14 @@ import json
 import re
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 
 from . import __version__
-from .dp import KernelSpanError, kernel2
-from .oeis import MATCH, MISMATCH, canonical_id, format_bfile, oeis_check
-from .oracle import OracleLimitError
-from .sequences import (
-    FAMILIES,
-    GEN_DER,
-    GLR3,
-    TRAPEZOID,
-    TRIANGLE,
-    OracleMismatchError,
-    SequenceRecord,
-    apply_total,
-    run_job,
-)
-from .tiles import dump_tiles, enumerate_tiles
+
+if TYPE_CHECKING:
+    from .sequences import SequenceRecord
 
 EXIT_ORACLE_MISMATCH = 3
 EXIT_OEIS_MISMATCH = 4
@@ -61,10 +56,21 @@ SHIFTS = ShiftList()
 
 
 def _oeis_id(ctx, param, value: str | None) -> str | None:
+    if value is None:
+        return None
+    from .oeis import canonical_id
+
     try:
-        return None if value is None else canonical_id(value)
+        return canonical_id(value)
     except ValueError as exc:
         raise click.BadParameter(str(exc))
+
+
+def _output_path(ctx, param, value: Path | None) -> Path | None:
+    # checked before the job runs; the file itself is written after it
+    if value is not None and not value.parent.is_dir():
+        raise click.BadParameter(f"cannot write {value}: {value.parent} is not a directory")
+    return value
 
 
 def _bfile_comments(record: SequenceRecord) -> tuple[str, ...]:
@@ -83,6 +89,8 @@ def _render(record: SequenceRecord, fmt: str) -> str:
     if fmt == "plain":
         return "\n".join(f"{n} {t}" for n, t in record.indexed_terms()) + "\n"
     if fmt == "bfile":
+        from .oeis import format_bfile
+
         return format_bfile(record, _bfile_comments(record))
     return json.dumps(record.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
@@ -99,6 +107,9 @@ def _dumps(record: SequenceRecord, dump_tiles_flag: bool) -> None:
     """The tile alphabet if asked for, then the P_n that the job's own
     sweep handed back."""
     if dump_tiles_flag:
+        from .sequences import FAMILIES
+        from .tiles import dump_tiles, enumerate_tiles
+
         spec = FAMILIES[record.family].spec(record.params)
         click.echo(dump_tiles(enumerate_tiles(spec)), err=True)
     for n, poly in record.series.items():
@@ -108,6 +119,8 @@ def _dumps(record: SequenceRecord, dump_tiles_flag: bool) -> None:
 def _oeis(record: SequenceRecord, oeis_id: str | None, offline: bool) -> int:
     if oeis_id is None:
         return 0
+    from .oeis import MATCH, MISMATCH, oeis_check
+
     report = oeis_check(record, oeis_id, offline=offline)
     click.echo(report.summary(), err=True)
     if report.status == MATCH:
@@ -119,6 +132,9 @@ def _oeis(record: SequenceRecord, oeis_id: str | None, offline: bool) -> int:
 
 def _run(family, params, n_terms, oracle_depth=None, series_to=None, *,
          total, fmt, output, oeis_id, offline, dump_tiles_flag=False):
+    from .oracle import OracleLimitError
+    from .sequences import OracleMismatchError, apply_total, run_job
+
     try:
         reduced = run_job(family, params, n_terms, oracle_depth, series_to)
     except OracleMismatchError as exc:
@@ -152,6 +168,7 @@ def _common(fn):
                 "-o",
                 type=click.Path(dir_okay=False, path_type=Path),
                 default=None,
+                callback=_output_path,
                 help="write the formatted terms to a file instead of stdout",
             ),
             click.option(
@@ -212,7 +229,7 @@ def main() -> None:
 @_engine_extras
 def gen_der_cmd(shifts, n_terms, oracle_depth, dump_series, **opts):
     """Permutations of n with i - pi(i) outside the shift set."""
-    _run(GEN_DER, {"shifts": list(shifts)}, n_terms, oracle_depth, dump_series, **opts)
+    _run("gen-der", {"shifts": list(shifts)}, n_terms, oracle_depth, dump_series, **opts)
 
 
 @main.command("glr3")
@@ -227,7 +244,7 @@ def glr3_cmd(s12, s13, s23, n_terms, oracle_depth, dump_series, **opts):
     """Reduced 3 x n boards avoiding three shift sets ({0},{0},{0} is
     the classical Latin rectangle case)."""
     params = {"s12": list(s12), "s13": list(s13), "s23": list(s23)}
-    _run(GLR3, params, n_terms, oracle_depth, dump_series, **opts)
+    _run("glr3", params, n_terms, oracle_depth, dump_series, **opts)
 
 
 @main.command("trapezoid")
@@ -238,7 +255,7 @@ def glr3_cmd(s12, s13, s23, n_terms, oracle_depth, dump_series, **opts):
 def trapezoid_cmd(n_terms, oracle_depth, dump_series, **opts):
     """Latin trapezoids: rows of lengths n, n-1, n-2 with the diagonal
     constraint families; terms start at n=3."""
-    _run(TRAPEZOID, {}, n_terms, oracle_depth, dump_series, **opts)
+    _run("trapezoid", {}, n_terms, oracle_depth, dump_series, **opts)
 
 
 @main.command("triangle")
@@ -247,7 +264,7 @@ def trapezoid_cmd(n_terms, oracle_depth, dump_series, **opts):
 @_common
 def triangle_cmd(n_max, **opts):
     """Latin triangles (rows n, n-1, ..., 1), brute-force only."""
-    _run(TRIANGLE, {}, n_max - 2, **opts)
+    _run("triangle-oracle", {}, n_max - 2, **opts)
 
 
 @main.command("kernel")
@@ -256,7 +273,7 @@ def triangle_cmd(n_max, **opts):
 @click.option("--format", "-f", "fmt", type=click.Choice(("plain", "json")),
               default="plain", show_default=True)
 @click.option("--output", "-o", type=click.Path(dir_okay=False, path_type=Path),
-              default=None)
+              default=None, callback=_output_path)
 @click.option("--dump-series", type=click.IntRange(0), default=None, metavar="N",
               help="also print weight polynomials up to P_N to stderr")
 def kernel_cmd(shifts, fmt, output, dump_series):
@@ -264,6 +281,8 @@ def kernel_cmd(shifts, fmt, output, dump_series):
     function whose X^n coefficient is the weight polynomial P_n.
     Shift sets may span at most 8 columns, 0 included: each column of
     span doubles the transfer states, up to 128."""
+    from .dp import KernelSpanError, kernel2
+
     try:
         kern = kernel2(shifts)
     except KernelSpanError as exc:

@@ -210,11 +210,28 @@ class TestExitCodes:
         def no_job(*args, **kwargs):
             raise AssertionError("the job ran before the ID was checked")
 
-        monkeypatch.setattr("latinrect.cli.run_job", no_job)
+        monkeypatch.setattr("latinrect.sequences.run_job", no_job)
         r = invoke(runner, "gen-der", "--shifts", "0,1", "-N", "3", "--oeis", "bogus")
         assert r.exit_code == 2
         assert "not an OEIS id: 'bogus'" in r.stderr
         assert r.stdout == ""
+
+    @pytest.mark.parametrize("engine, args", [
+        ("latinrect.sequences.run_job", ("gen-der", "--shifts", "0,1", "-N", "3")),
+        ("latinrect.dp.kernel2", ("kernel", "--shifts", "0,1")),
+    ], ids=["gen-der", "kernel"])
+    def test_output_into_missing_directory_is_usage_error(
+            self, runner, monkeypatch, tmp_path, engine, args):
+        def no_job(*args, **kwargs):
+            raise AssertionError("the job ran before the output path was checked")
+
+        monkeypatch.setattr(engine, no_job)
+        out = tmp_path / "missing" / "f.txt"
+        r = invoke(runner, *args, "-o", str(out))
+        assert r.exit_code == 2
+        assert r.stdout == ""
+        assert str(out) in r.stderr
+        assert not out.parent.exists()
 
     def test_oeis_match_is_0(self, runner, cached_271):
         r = invoke(runner, "gen-der", "--shifts", "0,1", "-N", "8",
@@ -273,3 +290,40 @@ class TestHelp:
         r = invoke(runner, "--version")
         assert r.exit_code == 0
         assert "latinrect" in r.stdout
+
+
+class TestImports:
+    """Each command imports only the engine modules it runs."""
+
+    @staticmethod
+    def loaded(*args):
+        # a fresh interpreter, so modules imported by earlier tests do not count
+        script = (
+            "import sys\n"
+            "from latinrect.cli import main\n"
+            "try:\n"
+            "    if sys.argv[1:]:\n"
+            "        main(sys.argv[1:], prog_name='latinrect')\n"
+            "finally:\n"
+            "    print(*sorted(m for m in sys.modules if m.startswith('latinrect')),\n"
+            "          file=sys.stderr)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stderr.splitlines()[-1].split())
+
+    def test_import_loads_only_the_front_end(self):
+        assert self.loaded() == {"latinrect", "latinrect.cli"}
+
+    def test_kernel_loads_no_sequence_modules(self):
+        mods = self.loaded("kernel", "--shifts", "0,1,-2")
+        assert "latinrect.dp" in mods
+        for name in ("sequences", "oracle", "umbra", "oeis"):
+            assert f"latinrect.{name}" not in mods
+
+    def test_plain_engine_job_loads_no_oeis(self):
+        mods = self.loaded("gen-der", "--shifts", "0,1", "-N", "5")
+        assert "latinrect.sequences" in mods
+        assert "latinrect.oeis" not in mods

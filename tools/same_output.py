@@ -5,10 +5,11 @@
 Replays every job of perfbench/workloads.py, as written and with each
 shift set S replaced by -S, in every output format its command takes
 (plain, b-file, json), each with and without `--dump-series 8` where
-the command has that option, plus `--help` of the CLI and of every
-command.  The benchmark's oracle depths stop short of the caps, so the
-DEEP_ORACLE jobs also run, in plain format: each family's brute-force
-counter at or near its cap, about 11 s per checkout.  glr3 runs at
+the command has that option, plus `--help` and `--version` of the CLI
+and `--help` of every command.  The benchmark's oracle depths stop
+short of the caps, so the DEEP_ORACLE jobs also run, in plain format:
+each family's brute-force counter at or near its cap, about 11 s per
+checkout.  glr3 runs at
 its cap on super-Latin, on Latin {0}^3, with every set empty (every
 value allowed in every cell, the densest masks the last-row DP steps)
 and on a spec whose s23 holds -2 (a last-row cell waits for the
@@ -93,7 +94,7 @@ USAGE_ERRORS = (
 
 
 def command_lines() -> list[tuple[str, ...]]:
-    lines: list[tuple[str, ...]] = [("--help",)]
+    lines: list[tuple[str, ...]] = [("--help",), ("--version",)]
     lines += [(cmd, "--help") for cmd in COMMANDS]
     for jobs in WORKLOADS.values():
         for job in jobs:
