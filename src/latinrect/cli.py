@@ -6,8 +6,11 @@ for); 1 unexpected error; 2 usage error; 3 engine/oracle mismatch;
 a cached b-file that does not parse, or no overlapping terms).  A
 requested check never passes silently.
 
-Each command imports its engine modules when it runs, not when this
-module loads: start-up is most of a short job, and the sources are
+Start-up is most of a short job, and every job is a fresh process, so
+this module loads nothing beyond the standard library's argparse and
+the package itself: parsing with click cost about 25 ms of every
+job's start-up.  For the same reason each command imports its engine
+modules when it runs, not when this module loads: the sources are
 recompiled whenever bytecode is not cached, so a `kernel` job should
 not pay for the sequence, oracle, umbral and OEIS modules it never
 calls.
@@ -15,22 +18,46 @@ calls.
 
 from __future__ import annotations
 
-import json
+import argparse
 import re
 import sys
-from pathlib import Path
 from typing import TYPE_CHECKING
-
-import click
 
 from . import __version__
 
 if TYPE_CHECKING:
+    from pathlib import Path
+
     from .sequences import SequenceRecord
 
 EXIT_ORACLE_MISMATCH = 3
 EXIT_OEIS_MISMATCH = 4
 EXIT_OEIS_UNVERIFIABLE = 5
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse that, like a getopt parser, binds the next argument to
+    an option that takes a value whatever that argument looks like:
+    `--shifts -1,0,1` is a shift set, not an unknown option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, add_help=False, allow_abbrev=False, **kwargs)
+        self._valued: set[str] = set()
+        self.add_argument("--help", action="help", help="show this message and exit")
+
+    def add_argument(self, *flags, **kwargs):
+        action = super().add_argument(*flags, **kwargs)
+        if action.option_strings and action.nargs != 0:
+            self._valued.update(action.option_strings)
+        return action
+
+    def parse_known_args(self, args=None, namespace=None):
+        tokens = iter(sys.argv[1:] if args is None else args)
+        bound = []
+        for arg in tokens:
+            value = next(tokens, None) if arg in self._valued else None
+            bound.append(arg if value is None else f"{arg}={value}")
+        return super().parse_known_args(bound, namespace)
 
 
 def _parse_shifts(value: str) -> tuple[int, ...]:
@@ -40,37 +67,45 @@ def _parse_shifts(value: str) -> tuple[int, ...]:
     try:
         return tuple(sorted({int(p) for p in re.split(r"[,\s]+", body) if p}))
     except ValueError:
-        raise click.BadParameter(f"expected integers like '0,1,-2', got {value!r}")
+        raise argparse.ArgumentTypeError(
+            f"expected integers like '0,1,-2', got {value!r}"
+        ) from None
 
 
-class ShiftList(click.ParamType):
-    name = "shifts"
+def _at_least(low: int):
+    def convert(value: str) -> int:
+        try:
+            number = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{value!r} is not a valid integer") from None
+        if number < low:
+            raise argparse.ArgumentTypeError(f"{number} is not in the range x>={low}")
+        return number
 
-    def convert(self, value, param, ctx):
-        if isinstance(value, tuple):
-            return value
-        return _parse_shifts(value)
+    return convert
 
 
-SHIFTS = ShiftList()
-
-
-def _oeis_id(ctx, param, value: str | None) -> str | None:
-    if value is None:
-        return None
+def _oeis_id(value: str) -> str:
     from .oeis import canonical_id
 
     try:
         return canonical_id(value)
     except ValueError as exc:
-        raise click.BadParameter(str(exc))
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _output_path(ctx, param, value: Path | None) -> Path | None:
+def _output_path(value: str) -> Path:
     # checked before the job runs; the file itself is written after it
-    if value is not None and not value.parent.is_dir():
-        raise click.BadParameter(f"cannot write {value}: {value.parent} is not a directory")
-    return value
+    from pathlib import Path
+
+    path = Path(value)
+    if path.is_dir():
+        raise argparse.ArgumentTypeError(f"cannot write {path}: it is a directory")
+    if not path.parent.is_dir():
+        raise argparse.ArgumentTypeError(
+            f"cannot write {path}: {path.parent} is not a directory"
+        )
+    return path
 
 
 def _bfile_comments(record: SequenceRecord) -> tuple[str, ...]:
@@ -92,15 +127,18 @@ def _render(record: SequenceRecord, fmt: str) -> str:
         from .oeis import format_bfile
 
         return format_bfile(record, _bfile_comments(record))
+    import json
+
     return json.dumps(record.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def _emit(payload: str, output: Path | None) -> None:
     if output is None:
-        click.echo(payload, nl=False)
+        sys.stdout.write(payload)
+        sys.stdout.flush()
     else:
         output.write_text(payload)
-        click.echo(f"wrote {output}", err=True)
+        print(f"wrote {output}", file=sys.stderr)
 
 
 def _dumps(record: SequenceRecord, dump_tiles_flag: bool) -> None:
@@ -111,9 +149,9 @@ def _dumps(record: SequenceRecord, dump_tiles_flag: bool) -> None:
         from .tiles import dump_tiles, enumerate_tiles
 
         spec = FAMILIES[record.family].spec(record.params)
-        click.echo(dump_tiles(enumerate_tiles(spec)), err=True)
+        print(dump_tiles(enumerate_tiles(spec)), file=sys.stderr)
     for n, poly in record.series.items():
-        click.echo(f"P_{n} = {poly.canonical_str()}", err=True)
+        print(f"P_{n} = {poly.canonical_str()}", file=sys.stderr)
 
 
 def _oeis(record: SequenceRecord, oeis_id: str | None, offline: bool) -> int:
@@ -122,7 +160,7 @@ def _oeis(record: SequenceRecord, oeis_id: str | None, offline: bool) -> int:
     from .oeis import MATCH, MISMATCH, oeis_check
 
     report = oeis_check(record, oeis_id, offline=offline)
-    click.echo(report.summary(), err=True)
+    print(report.summary(), file=sys.stderr)
     if report.status == MATCH:
         return 0
     if report.status == MISMATCH:
@@ -130,153 +168,50 @@ def _oeis(record: SequenceRecord, oeis_id: str | None, offline: bool) -> int:
     return EXIT_OEIS_UNVERIFIABLE
 
 
-def _run(family, params, n_terms, oracle_depth=None, series_to=None, *,
-         total, fmt, output, oeis_id, offline, dump_tiles_flag=False):
+def _run(opts: argparse.Namespace, family: str, params: dict, n_terms: int) -> None:
     from .oracle import OracleLimitError
     from .sequences import OracleMismatchError, apply_total, run_job
 
     try:
-        reduced = run_job(family, params, n_terms, oracle_depth, series_to)
+        reduced = run_job(family, params, n_terms, opts.oracle_depth, opts.dump_series)
     except OracleMismatchError as exc:
-        click.echo(f"oracle mismatch: {exc}", err=True)
+        print(f"oracle mismatch: {exc}", file=sys.stderr)
         sys.exit(EXIT_ORACLE_MISMATCH)
     except OracleLimitError as exc:
-        raise click.UsageError(str(exc)) from None
-    record = apply_total(reduced) if total else reduced
-    _dumps(record, dump_tiles_flag)
-    _emit(_render(record, fmt), output)
+        opts.parser.error(str(exc))
+    record = apply_total(reduced) if opts.total else reduced
+    _dumps(record, opts.dump_tiles_flag)
+    _emit(_render(record, opts.fmt), opts.output)
     # catalog terms describe reduced counts; compare before the n! blowup
-    code = _oeis(reduced, oeis_id, offline)
+    code = _oeis(reduced, opts.oeis_id, opts.offline)
     if code:
         sys.exit(code)
 
 
-def _common(fn):
-    for deco in reversed(
-        (
-            click.option(
-                "--format",
-                "-f",
-                "fmt",
-                type=click.Choice(("plain", "bfile", "json")),
-                default="plain",
-                show_default=True,
-                help="plain 'n a(n)' lines, a commented b-file, or the full record",
-            ),
-            click.option(
-                "--output",
-                "-o",
-                type=click.Path(dir_okay=False, path_type=Path),
-                default=None,
-                callback=_output_path,
-                help="write the formatted terms to a file instead of stdout",
-            ),
-            click.option(
-                "--oeis",
-                "oeis_id",
-                default=None,
-                callback=_oeis_id,
-                metavar="ID",
-                help="compare reduced terms against this OEIS entry's b-file",
-            ),
-            click.option("--offline", is_flag=True, help="use only cached b-files"),
-            click.option(
-                "--total",
-                is_flag=True,
-                help="multiply a(n) by n!: counts without the fixed identity row",
-            ),
-        )
-    ):
-        fn = deco(fn)
-    return fn
-
-
-def _engine_extras(fn):
-    for deco in reversed(
-        (
-            click.option(
-                "--oracle-depth",
-                type=click.IntRange(0),
-                default=None,
-                help="brute-force cross-check up to this n (0 disables)",
-            ),
-            click.option("--dump-tiles", "dump_tiles_flag", is_flag=True,
-                         help="print the tile alphabet to stderr"),
-            click.option("--dump-series", type=click.IntRange(0), default=None,
-                         metavar="N", help="print weight polynomials up to P_N to stderr"),
-        )
-    ):
-        fn = deco(fn)
-    return fn
-
-
-@click.group()
-@click.version_option(__version__, prog_name="latinrect")
-def main() -> None:
-    """Exact counts of generalized derangements, 3-row Latin
-    rectangles, Latin trapezoids and Latin triangles."""
-    # terms outgrow the default 4300-digit int/str conversion limit
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
-
-
-@main.command("gen-der")
-@click.option("--shifts", type=SHIFTS, required=True,
-              help="forbidden values of i - pi(i), e.g. '0,1,-2'")
-@click.option("-N", "n_terms", type=click.IntRange(1), required=True,
-              help="number of terms (n = 1..N)")
-@_common
-@_engine_extras
-def gen_der_cmd(shifts, n_terms, oracle_depth, dump_series, **opts):
+def gen_der_cmd(opts: argparse.Namespace) -> None:
     """Permutations of n with i - pi(i) outside the shift set."""
-    _run("gen-der", {"shifts": list(shifts)}, n_terms, oracle_depth, dump_series, **opts)
+    _run(opts, "gen-der", {"shifts": list(opts.shifts)}, opts.n_terms)
 
 
-@main.command("glr3")
-@click.option("--s12", type=SHIFTS, default="", help="row 0 vs row 1 shifts")
-@click.option("--s13", type=SHIFTS, default="", help="row 0 vs row 2 shifts")
-@click.option("--s23", type=SHIFTS, default="", help="row 1 vs row 2 shifts")
-@click.option("-N", "n_terms", type=click.IntRange(1), required=True,
-              help="number of terms (n = 1..N)")
-@_common
-@_engine_extras
-def glr3_cmd(s12, s13, s23, n_terms, oracle_depth, dump_series, **opts):
+def glr3_cmd(opts: argparse.Namespace) -> None:
     """Reduced 3 x n boards avoiding three shift sets ({0},{0},{0} is
     the classical Latin rectangle case)."""
-    params = {"s12": list(s12), "s13": list(s13), "s23": list(s23)}
-    _run("glr3", params, n_terms, oracle_depth, dump_series, **opts)
+    params = {"s12": list(opts.s12), "s13": list(opts.s13), "s23": list(opts.s23)}
+    _run(opts, "glr3", params, opts.n_terms)
 
 
-@main.command("trapezoid")
-@click.option("-N", "n_terms", type=click.IntRange(1), required=True,
-              help="number of terms (n = 3..N+2)")
-@_common
-@_engine_extras
-def trapezoid_cmd(n_terms, oracle_depth, dump_series, **opts):
+def trapezoid_cmd(opts: argparse.Namespace) -> None:
     """Latin trapezoids: rows of lengths n, n-1, n-2 with the diagonal
     constraint families; terms start at n=3."""
-    _run("trapezoid", {}, n_terms, oracle_depth, dump_series, **opts)
+    _run(opts, "trapezoid", {}, opts.n_terms)
 
 
-@main.command("triangle")
-@click.option("--n", "n_max", type=click.IntRange(3), required=True,
-              help="largest side length (terms for n = 3..n)")
-@_common
-def triangle_cmd(n_max, **opts):
+def triangle_cmd(opts: argparse.Namespace) -> None:
     """Latin triangles (rows n, n-1, ..., 1), brute-force only."""
-    _run("triangle-oracle", {}, n_max - 2, **opts)
+    _run(opts, "triangle-oracle", {}, opts.n_max - 2)
 
 
-@main.command("kernel")
-@click.option("--shifts", type=SHIFTS, required=True,
-              help="forbidden values of i - pi(i), e.g. '0,1,-2'")
-@click.option("--format", "-f", "fmt", type=click.Choice(("plain", "json")),
-              default="plain", show_default=True)
-@click.option("--output", "-o", type=click.Path(dir_okay=False, path_type=Path),
-              default=None, callback=_output_path)
-@click.option("--dump-series", type=click.IntRange(0), default=None, metavar="N",
-              help="also print weight polynomials up to P_N to stderr")
-def kernel_cmd(shifts, fmt, output, dump_series):
+def kernel_cmd(opts: argparse.Namespace) -> None:
     """Closed-form rational kernel of a 2-row spec: the generating
     function whose X^n coefficient is the weight polynomial P_n.
     Shift sets may span at most 8 columns, 0 included: each column of
@@ -284,23 +219,125 @@ def kernel_cmd(shifts, fmt, output, dump_series):
     from .dp import KernelSpanError, kernel2
 
     try:
-        kern = kernel2(shifts)
+        kern = kernel2(opts.shifts)
     except KernelSpanError as exc:
-        raise click.UsageError(str(exc)) from None
-    if dump_series is not None:
-        for n, poly in enumerate(kern.series(dump_series)):
-            click.echo(f"P_{n} = {poly.canonical_str()}", err=True)
-    if fmt == "plain":
-        _emit(kern.canonical_str() + "\n", output)
+        opts.parser.error(str(exc))
+    if opts.dump_series is not None:
+        for n, poly in enumerate(kern.series(opts.dump_series)):
+            print(f"P_{n} = {poly.canonical_str()}", file=sys.stderr)
+    if opts.fmt == "plain":
+        _emit(kern.canonical_str() + "\n", opts.output)
     else:
+        import json
+
         payload = {
-            "shifts": list(shifts),
+            "shifts": list(opts.shifts),
             "kernel": kern.canonical_str(),
             "normalized": kern.normalized,
             "numerator_degree": kern.order()[0],
             "denominator_degree": kern.order()[1],
         }
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", output)
+        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", opts.output)
+
+
+SHIFTS_HELP = "forbidden values of i - pi(i), e.g. '0,1,-2'"
+
+
+def _command(commands, fn, name: str) -> _Parser:
+    doc = " ".join(fn.__doc__.split())
+    sub = commands.add_parser(name, help=doc.partition(". ")[0], description=doc)
+    sub.set_defaults(run=fn, parser=sub)
+    return sub
+
+
+def _output_options(sub: _Parser, formats: tuple[str, ...], format_help: str) -> None:
+    sub.add_argument("--format", "-f", dest="fmt", choices=formats, default="plain",
+                     help=format_help)
+    sub.add_argument("--output", "-o", type=_output_path, metavar="PATH",
+                     help="write the formatted terms to a file instead of stdout")
+
+
+def _common(sub: _Parser) -> None:
+    _output_options(sub, ("plain", "bfile", "json"),
+                    "plain 'n a(n)' lines, a commented b-file, or the full record"
+                    " (default: plain)")
+    sub.add_argument("--oeis", dest="oeis_id", type=_oeis_id, metavar="ID",
+                     help="compare reduced terms against this OEIS entry's b-file")
+    sub.add_argument("--offline", action="store_true", help="use only cached b-files")
+    sub.add_argument("--total", action="store_true",
+                     help="multiply a(n) by n!: counts without the fixed identity row")
+
+
+def _engine_options(sub: _Parser, terms_help: str = "number of terms (n = 1..N)") -> None:
+    sub.add_argument("-N", dest="n_terms", type=_at_least(1), required=True, metavar="N",
+                     help=terms_help)
+    _common(sub)
+    sub.add_argument("--oracle-depth", type=_at_least(0), metavar="N",
+                     help="brute-force cross-check up to this n (0 disables)")
+    sub.add_argument("--dump-tiles", dest="dump_tiles_flag", action="store_true",
+                     help="print the tile alphabet to stderr")
+    sub.add_argument("--dump-series", type=_at_least(0), metavar="N",
+                     help="print weight polynomials up to P_N to stderr")
+
+
+def _parser(prog: str) -> _Parser:
+    parser = _Parser(
+        prog=prog,
+        description="Exact counts of generalized derangements, 3-row Latin"
+        " rectangles, Latin trapezoids and Latin triangles.",
+    )
+    parser.add_argument("--version", action="version",
+                        version=f"latinrect, version {__version__}",
+                        help="show the version and exit")
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+
+    sub = _command(commands, gen_der_cmd, "gen-der")
+    sub.add_argument("--shifts", type=_parse_shifts, required=True, metavar="SET",
+                     help=SHIFTS_HELP)
+    _engine_options(sub)
+
+    sub = _command(commands, glr3_cmd, "glr3")
+    for flag, rows in (("--s12", "row 0 vs row 1"), ("--s13", "row 0 vs row 2"),
+                       ("--s23", "row 1 vs row 2")):
+        sub.add_argument(flag, type=_parse_shifts, default=(), metavar="SET",
+                         help=f"{rows} shifts")
+    _engine_options(sub)
+
+    sub = _command(commands, trapezoid_cmd, "trapezoid")
+    _engine_options(sub, "number of terms (n = 3..N+2)")
+
+    sub = _command(commands, triangle_cmd, "triangle")
+    sub.add_argument("--n", dest="n_max", type=_at_least(3), required=True, metavar="N",
+                     help="largest side length (terms for n = 3..n)")
+    _common(sub)
+    # brute force only: no engine options
+    sub.set_defaults(oracle_depth=None, dump_tiles_flag=False, dump_series=None)
+
+    sub = _command(commands, kernel_cmd, "kernel")
+    sub.add_argument("--shifts", type=_parse_shifts, required=True, metavar="SET",
+                     help=SHIFTS_HELP)
+    _output_options(sub, ("plain", "json"), "(default: plain)")
+    sub.add_argument("--dump-series", type=_at_least(0), metavar="N",
+                     help="also print weight polynomials up to P_N to stderr")
+    return parser
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
+    """Run one command line; exits through SystemExit with a code from
+    the module docstring, or returns after a clean run."""
+    # terms outgrow the default 4300-digit int/str conversion limit
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
+    opts = _parser(prog_name or "latinrect").parse_args(args)
+    try:
+        opts.run(opts)
+    except BrokenPipeError:
+        # the reader (say `head`) has gone: exit 1 without a traceback, and
+        # point stdout at /dev/null so the flush at shutdown cannot fail again
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
 
 
 if __name__ == "__main__":

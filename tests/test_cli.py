@@ -1,17 +1,23 @@
-"""End-to-end CLI behavior through click's runner: formats, file
-output, dump flags, OEIS checking, and the documented exit codes."""
+"""End-to-end CLI behavior, run in process through `main` with stdout,
+stderr and the environment captured (fresh processes where start-up
+matters): formats, file output, dump flags, OEIS checking, option
+values that begin with '-', the documented exit codes, and what
+importing the front end loads."""
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from click.testing import CliRunner
 
 import latinrect.dp as dpmod
 import latinrect.sequences as seqmod
@@ -27,11 +33,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture()
-def runner():
-    return CliRunner()
-
-
-@pytest.fixture()
 def cached_271(tmp_path, monkeypatch, fixture_dir):
     """The menage b-file, alone in a fresh OEIS cache."""
     monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
@@ -40,53 +41,70 @@ def cached_271(tmp_path, monkeypatch, fixture_dir):
     return target
 
 
-def invoke(runner, *args, env=None):
-    return runner.invoke(main, list(args), env=env, catch_exceptions=False)
+@dataclass
+class Result:
+    exit_code: int
+    stdout: str
+    stderr: str
+
+
+def invoke(*args: str, env: dict[str, str] | None = None) -> Result:
+    """Run main() in process with its streams, exit code and environment
+    captured.  Any exception other than SystemExit propagates, so a
+    traceback fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    code = 0
+    with mock.patch.dict(os.environ, env or {}), redirect_stdout(out), redirect_stderr(err):
+        try:
+            main(list(args), prog_name="latinrect")
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+    return Result(code, out.getvalue(), err.getvalue())
 
 
 class TestGenDer:
-    def test_plain(self, runner):
-        r = invoke(runner, "gen-der", "--shifts", "0,1", "-N", "6")
+    def test_plain(self):
+        r = invoke("gen-der", "--shifts", "0,1", "-N", "6")
         assert r.exit_code == 0
         assert r.stdout == "1 0\n2 0\n3 1\n4 3\n5 16\n6 96\n"
 
-    def test_bfile_header(self, runner):
-        r = invoke(runner, "gen-der", "--shifts", "0,1", "-N", "4", "-f", "bfile")
+    def test_bfile_header(self):
+        r = invoke("gen-der", "--shifts", "0,1", "-N", "4", "-f", "bfile")
         assert r.exit_code == 0
         lines = r.stdout.splitlines()
         assert lines[0] == "# family=gen-der shifts=[0, 1]"
         assert lines[1].startswith("# n=1..4 reduced=True provenance=engine")
         assert lines[2:] == ["1 0", "2 0", "3 1", "4 3"]
 
-    def test_json(self, runner):
-        r = invoke(runner, "gen-der", "--shifts", "0", "-N", "5", "-f", "json")
+    def test_json(self):
+        r = invoke("gen-der", "--shifts", "0", "-N", "5", "-f", "json")
         data = json.loads(r.stdout)
         assert data["terms"] == ["0", "1", "2", "9", "44"]
         assert data["family"] == "gen-der"
 
-    def test_deterministic_output(self, runner):
+    def test_deterministic_output(self):
         args = ("gen-der", "--shifts", "-2,0,1", "-N", "8", "-f", "bfile")
-        assert invoke(runner, *args).stdout == invoke(runner, *args).stdout
+        assert invoke(*args).stdout == invoke(*args).stdout
 
-    def test_total(self, runner):
-        r = invoke(runner, "gen-der", "--shifts", "0", "-N", "4", "--total")
+    def test_total(self):
+        r = invoke("gen-der", "--shifts", "0", "-N", "4", "--total")
         assert r.stdout == "1 0\n2 2\n3 12\n4 216\n"
 
-    def test_output_file(self, runner, tmp_path):
+    def test_output_file(self, tmp_path):
         out = tmp_path / "terms.txt"
-        r = invoke(runner, "gen-der", "--shifts", "0", "-N", "3", "-o", str(out))
+        r = invoke("gen-der", "--shifts", "0", "-N", "3", "-o", str(out))
         assert r.exit_code == 0
         assert out.read_text() == "1 0\n2 1\n3 2\n"
         assert r.stdout == ""
 
-    def test_dump_flags_go_to_stderr(self, runner):
-        r = invoke(runner, "gen-der", "--shifts", "0", "-N", "3",
+    def test_dump_flags_go_to_stderr(self):
+        r = invoke("gen-der", "--shifts", "0", "-N", "3",
                    "--dump-tiles", "--dump-series", "2")
         assert r.stdout == "1 0\n2 1\n3 2\n"
         assert "(0,0)+(0,1) coeff=-1 weight=1" in r.stderr
         assert "P_2 = x^2 - 2*x + 1" in r.stderr
 
-    def test_dump_series_reuses_the_job_sweep(self, runner, monkeypatch):
+    def test_dump_series_reuses_the_job_sweep(self, monkeypatch):
         columns = []
         advance = dpmod._Sweep.advance
 
@@ -95,90 +113,113 @@ class TestGenDer:
             return advance(self, dist, blocked, **kwargs)
 
         monkeypatch.setattr(dpmod._Sweep, "advance", counted)
-        r = invoke(runner, "gen-der", "--shifts", "0,1", "-N", "30", "--dump-series", "8")
+        r = invoke("gen-der", "--shifts", "0,1", "-N", "30", "--dump-series", "8")
         assert len(columns) == 30
         assert r.stderr.count("P_") == 9  # P_0 .. P_8
         columns.clear()
-        r = invoke(runner, "gen-der", "--shifts", "0,1", "-N", "3", "--dump-series", "8")
+        r = invoke("gen-der", "--shifts", "0,1", "-N", "3", "--dump-series", "8")
         assert len(columns) == 8  # swept on for the dump, terms stop at N
         assert r.stdout == "1 0\n2 0\n3 1\n"
         assert "P_8 = " in r.stderr
 
-    def test_bad_shift_string_usage_error(self, runner):
-        r = invoke(runner, "gen-der", "--shifts", "zebra", "-N", "3")
+    def test_bad_shift_string_usage_error(self):
+        r = invoke("gen-der", "--shifts", "zebra", "-N", "3")
         assert r.exit_code == 2
 
-    def test_shift_parsing_variants(self, runner):
+    def test_shift_parsing_variants(self):
         for raw in ("{0, 1}", "0 1", "1,0"):
-            r = invoke(runner, "gen-der", "--shifts", raw, "-N", "3")
+            r = invoke("gen-der", "--shifts", raw, "-N", "3")
             assert r.stdout == "1 0\n2 0\n3 1\n"
 
 
 class TestOtherFamilies:
-    def test_glr3(self, runner):
-        r = invoke(runner, "glr3", "--s12", "0", "--s13", "0", "--s23", "0", "-N", "5")
+    def test_glr3(self):
+        r = invoke("glr3", "--s12", "0", "--s13", "0", "--s23", "0", "-N", "5")
         assert r.stdout == "1 0\n2 0\n3 2\n4 24\n5 552\n"
 
-    def test_glr3_oracle_to_n8(self, runner):
-        r = invoke(runner, "glr3", "--s12", "0", "--s13", "0", "--s23", "0",
+    def test_glr3_oracle_to_n8(self):
+        r = invoke("glr3", "--s12", "0", "--s13", "0", "--s23", "0",
                    "-N", "8", "--oracle-depth", "8")
         assert r.exit_code == 0
         assert r.stdout.splitlines()[-1] == "8 70299264"
 
-    def test_glr3_empty_sets_default(self, runner):
-        r = invoke(runner, "glr3", "-N", "3")
+    def test_glr3_empty_sets_default(self):
+        r = invoke("glr3", "-N", "3")
         assert r.stdout == "1 1\n2 4\n3 36\n"
 
-    def test_trapezoid(self, runner):
-        r = invoke(runner, "trapezoid", "-N", "4")
+    def test_trapezoid(self):
+        r = invoke("trapezoid", "-N", "4")
         assert r.stdout == "3 1\n4 6\n5 68\n6 1670\n"
 
-    def test_triangle(self, runner):
-        r = invoke(runner, "triangle", "--n", "6")
+    def test_triangle(self):
+        r = invoke("triangle", "--n", "6")
         assert r.stdout == "3 1\n4 0\n5 4\n6 236\n"
 
-    def test_triangle_has_no_dump_flags(self, runner):
-        r = invoke(runner, "triangle", "--n", "5", "--dump-tiles")
+    def test_triangle_has_no_dump_flags(self):
+        r = invoke("triangle", "--n", "5", "--dump-tiles")
         assert r.exit_code == 2
 
-    def test_terms_past_4300_digits(self, runner):
+    def test_terms_past_4300_digits(self):
         # free 3 x n boards count (n!)^2, 5136 digits at n = 1000
         want = {n: math.factorial(n) ** 2 for n in range(1, 1001)}
         assert len(str(want[1000])) > 5000
-        plain = invoke(runner, "glr3", "-N", "1000")
+        plain = invoke("glr3", "-N", "1000")
         assert plain.exit_code == 0
         assert plain.stdout.splitlines()[-1] == f"1000 {want[1000]}"
-        data = json.loads(invoke(runner, "glr3", "-N", "1000", "-f", "json").stdout)
+        data = json.loads(invoke("glr3", "-N", "1000", "-f", "json").stdout)
         assert int(data["terms"][-1]) == want[1000]
-        bfile = invoke(runner, "glr3", "-N", "1000", "-f", "bfile")
+        bfile = invoke("glr3", "-N", "1000", "-f", "bfile")
         assert bfile.exit_code == 0
         assert parse_bfile(bfile.stdout) == want
 
 
 class TestKernel:
-    def test_plain(self, runner):
-        r = invoke(runner, "kernel", "--shifts", "0")
+    def test_plain(self):
+        r = invoke("kernel", "--shifts", "0")
         assert r.stdout == "(1) / (1 + (-x + 1)*X)\n"
 
-    def test_json(self, runner):
-        r = invoke(runner, "kernel", "--shifts", "0,1", "-f", "json")
+    def test_json(self):
+        r = invoke("kernel", "--shifts", "0,1", "-f", "json")
         data = json.loads(r.stdout)
         assert data["normalized"] is True
         assert data["shifts"] == [0, 1]
 
-    def test_dump_series(self, runner):
-        r = invoke(runner, "kernel", "--shifts", "0", "--dump-series", "2")
+    def test_dump_series(self):
+        r = invoke("kernel", "--shifts", "0", "--dump-series", "2")
         assert "P_0 = 1" in r.stderr
         assert "P_2 = x^2 - 2*x + 1" in r.stderr
 
 
+def _negated(shifts: str) -> str:
+    return ",".join(str(-int(s)) for s in shifts.split(","))
+
+
+class TestMinusLedShiftSets:
+    """A shift set that begins with '-' and stands as its own argument
+    is the option's value, not an unknown option: the benchmark mirrors
+    shift sets (S -> -S) and passes them this way."""
+
+    @pytest.mark.parametrize("args", [
+        ("gen-der", "--shifts", "-1,0,1", "-N", "8"),
+        ("glr3", "--s12", "-1,0,1", "--s13", "-2,0,2", "--s23", "-1,0,1", "-N", "6"),
+        ("kernel", "--shifts", "-2,-1,0,1,2,3"),
+    ], ids=["gen-der", "glr3", "kernel"])
+    def test_prints_what_its_mirror_prints(self, args):
+        mirror = [_negated(a) if a[:1] == "-" and a[1:2].isdigit() else a for a in args]
+        assert all(a[:1] != "-" or not a[1:2].isdigit() for a in mirror)
+        r = invoke(*args)
+        assert r.exit_code == 0, r.stderr
+        assert r.stdout != ""
+        assert r.stdout == invoke(*mirror).stdout
+
+
 class TestExitCodes:
-    def test_oracle_mismatch_is_3(self, runner, monkeypatch):
+    def test_oracle_mismatch_is_3(self, monkeypatch):
         true_eval = seqmod.umbra.umbral_eval_2row
         monkeypatch.setattr(
             seqmod.umbra, "umbral_eval_2row", lambda p: true_eval(p) + 1
         )
-        r = runner.invoke(main, ["gen-der", "--shifts", "0", "-N", "5"])
+        r = invoke("gen-der", "--shifts", "0", "-N", "5")
         assert r.exit_code == EXIT_ORACLE_MISMATCH
         assert "oracle mismatch" in r.stderr
 
@@ -188,8 +229,8 @@ class TestExitCodes:
         ("triangle", "--n", "8"),
         ("triangle", "--n", "9"),
     ])
-    def test_check_past_oracle_cap_is_usage_error(self, runner, args):
-        r = invoke(runner, *args)
+    def test_check_past_oracle_cap_is_usage_error(self, args):
+        r = invoke(*args)
         assert r.exit_code == 2
         assert "capped at n=" in r.stderr or "stop at n=" in r.stderr
         assert r.stdout == ""
@@ -206,46 +247,62 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert f"at most {dpmod.MAX_KERNEL_SPAN} columns" in proc.stderr
 
-    def test_bad_oeis_id_is_usage_error_before_the_job(self, runner, monkeypatch):
+    def test_bad_oeis_id_is_usage_error_before_the_job(self, monkeypatch):
         def no_job(*args, **kwargs):
             raise AssertionError("the job ran before the ID was checked")
 
         monkeypatch.setattr("latinrect.sequences.run_job", no_job)
-        r = invoke(runner, "gen-der", "--shifts", "0,1", "-N", "3", "--oeis", "bogus")
+        r = invoke("gen-der", "--shifts", "0,1", "-N", "3", "--oeis", "bogus")
         assert r.exit_code == 2
         assert "not an OEIS id: 'bogus'" in r.stderr
         assert r.stdout == ""
 
-    @pytest.mark.parametrize("engine, args", [
-        ("latinrect.sequences.run_job", ("gen-der", "--shifts", "0,1", "-N", "3")),
-        ("latinrect.dp.kernel2", ("kernel", "--shifts", "0,1")),
-    ], ids=["gen-der", "kernel"])
+    @pytest.mark.parametrize("engine, args, target", [
+        ("latinrect.sequences.run_job", ("gen-der", "--shifts", "0,1", "-N", "3"),
+         "missing/f.txt"),
+        ("latinrect.dp.kernel2", ("kernel", "--shifts", "0,1"), "missing/f.txt"),
+        # -o naming a directory that exists
+        ("latinrect.sequences.run_job", ("gen-der", "--shifts", "0,1", "-N", "3"), "."),
+        ("latinrect.dp.kernel2", ("kernel", "--shifts", "0,1"), "."),
+    ], ids=["gen-der", "kernel", "gen-der-into-directory", "kernel-into-directory"])
     def test_output_into_missing_directory_is_usage_error(
-            self, runner, monkeypatch, tmp_path, engine, args):
+            self, monkeypatch, tmp_path, engine, args, target):
         def no_job(*args, **kwargs):
             raise AssertionError("the job ran before the output path was checked")
 
         monkeypatch.setattr(engine, no_job)
-        out = tmp_path / "missing" / "f.txt"
-        r = invoke(runner, *args, "-o", str(out))
+        out = tmp_path / target
+        r = invoke(*args, "-o", str(out))
         assert r.exit_code == 2
         assert r.stdout == ""
         assert str(out) in r.stderr
-        assert not out.parent.exists()
+        assert not any(tmp_path.iterdir())  # nothing was created or written
 
-    def test_oeis_match_is_0(self, runner, cached_271):
-        r = invoke(runner, "gen-der", "--shifts", "0,1", "-N", "8",
+    def test_closed_stdout_is_1_without_traceback(self):
+        # as in `latinrect ... | true`: the reader is gone before the terms are written
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "latinrect.cli", "glr3", "-N", "50"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+        assert stderr == b""
+
+    def test_oeis_match_is_0(self, cached_271):
+        r = invoke("gen-der", "--shifts", "0,1", "-N", "8",
                    "--oeis", "271", "--offline")
         assert r.exit_code == 0
         assert "MATCH" in r.stderr
 
-    def test_oeis_mismatch_is_4(self, runner, cached_271):
-        r = invoke(runner, "gen-der", "--shifts", "0", "-N", "8",
+    def test_oeis_mismatch_is_4(self, cached_271):
+        r = invoke("gen-der", "--shifts", "0", "-N", "8",
                    "--oeis", "271", "--offline")
         assert r.exit_code == EXIT_OEIS_MISMATCH
 
-    def test_oeis_cold_cache_offline_is_5(self, runner, tmp_path):
-        r = invoke(runner, "gen-der", "--shifts", "0", "-N", "4",
+    def test_oeis_cold_cache_offline_is_5(self, tmp_path):
+        r = invoke("gen-der", "--shifts", "0", "-N", "4",
                    "--oeis", "271", "--offline",
                    env={"LATINRECT_OEIS_CACHE": str(tmp_path / "empty")})
         assert r.exit_code == EXIT_OEIS_UNVERIFIABLE
@@ -255,39 +312,39 @@ class TestExitCodes:
         (b"1 0\n2 0\n3 1\n4 ", 4),  # a transfer cut off mid-line
         (b"1 0\n2 \xff\xfe\n", 2),
     ], ids=["html", "truncated", "not-utf8"])
-    def test_oeis_malformed_cache_is_5(self, runner, cached_271, data, line):
-        # the runner re-raises, so a traceback would fail the test
+    def test_oeis_malformed_cache_is_5(self, cached_271, data, line):
+        # invoke() re-raises, so a traceback would fail the test
         cached_271.write_bytes(data)
-        r = invoke(runner, "gen-der", "--shifts", "0,1", "-N", "5",
+        r = invoke("gen-der", "--shifts", "0,1", "-N", "5",
                    "--oeis", "271", "--offline")
         assert r.exit_code == EXIT_OEIS_UNVERIFIABLE
         assert f"{cached_271} does not parse, line {line}:" in r.stderr
         assert r.stdout == "1 0\n2 0\n3 1\n4 3\n5 16\n"
 
-    def test_oeis_compares_reduced_terms_under_total(self, runner, cached_271):
-        r = invoke(runner, "gen-der", "--shifts", "0,1", "-N", "8", "--total",
+    def test_oeis_compares_reduced_terms_under_total(self, cached_271):
+        r = invoke("gen-der", "--shifts", "0,1", "-N", "8", "--total",
                    "--oeis", "271", "--offline")
         assert r.exit_code == 0
         assert r.stdout.splitlines()[2] == "3 6"  # 1 * 3!
 
 
 class TestHelp:
-    def test_group_help(self, runner):
-        r = invoke(runner, "--help")
+    def test_group_help(self):
+        r = invoke("--help")
         assert r.exit_code == 0
         for cmd in ("gen-der", "glr3", "trapezoid", "triangle", "kernel"):
             assert cmd in r.stdout
 
-    def test_kernel_help_states_the_span_limit(self, runner):
-        r = invoke(runner, "kernel", "--help")
+    def test_kernel_help_states_the_span_limit(self):
+        r = invoke("kernel", "--help")
         assert r.exit_code == 0
-        text = " ".join(r.stdout.split())  # click rewraps the docstring
+        text = " ".join(r.stdout.split())  # argparse rewraps the docstring
         span = dpmod.MAX_KERNEL_SPAN
         assert f"at most {span} columns" in text
         assert f"up to {2 ** (span - 1)}." in text
 
-    def test_version(self, runner):
-        r = invoke(runner, "--version")
+    def test_version(self):
+        r = invoke("--version")
         assert r.exit_code == 0
         assert "latinrect" in r.stdout
 
@@ -313,6 +370,22 @@ class TestImports:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         return set(proc.stderr.splitlines()[-1].split())
+
+    def test_import_adds_only_stdlib_modules(self):
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import latinrect.cli\n"
+            "print(*sorted(set(sys.modules) - before))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        added = proc.stdout.split()
+        assert "latinrect.cli" in added
+        allowed = sys.stdlib_module_names | {"latinrect"}
+        assert [m for m in added if m.partition(".")[0] not in allowed] == []
 
     def test_import_loads_only_the_front_end(self):
         assert self.loaded() == {"latinrect", "latinrect.cli"}

@@ -31,8 +31,11 @@ reaches: Latin {0}^3 to N=40, where decoding and evaluating the
 packed snapshots take about 90% of the run, and the 2-row set {5},
 whose runs start above x^0.
 One small job per engine command also runs with `--total` and with
-`--dump-tiles`, and two requests past an oracle cap check the usage
-error (exit 2).
+`--dump-tiles`.  The USAGE_ERRORS are usage errors (exit 2): two
+requests past an oracle cap, and the lines the parser itself rejects
+(a shift set that is not integers, -N 0, a negative oracle depth, an
+unknown format, an abbreviated option, a missing required option,
+-o naming a directory, an unknown command and no command at all).
 Each command line runs as a fresh `python3 -m latinrect.cli` process
 on this checkout's source and on PARENT_DIR's.  stdout, stderr and
 exit code must match; a JSON record is compared without
@@ -90,6 +93,16 @@ FLAG_JOBS = (
 USAGE_ERRORS = (
     ("trapezoid", "-N", "3", "--oracle-depth", "20"),
     ("triangle", "--n", "8"),
+    # rejected by the parser itself
+    ("gen-der", "--shifts", "zebra", "-N", "3"),
+    ("gen-der", "--shifts", "0", "-N", "0"),
+    ("gen-der", "--shifts", "0", "-N", "3", "--oracle-depth", "-1"),
+    ("gen-der", "--shifts", "0", "-N", "3", "-f", "xml"),
+    ("gen-der", "--shif", "0", "-N", "3"),
+    ("kernel",),
+    ("kernel", "--shifts", "0,1", "-o", "src"),
+    ("bogus",),
+    (),
 )
 
 
@@ -126,7 +139,7 @@ def run(checkout: Path, args: tuple[str, ...]) -> tuple[int, bytes, bytes]:
     proc = subprocess.run([sys.executable, "-m", "latinrect.cli", *args],
                           capture_output=True, env=env, cwd=checkout)
     out = proc.stdout
-    if args[0] != "kernel" and "json" in args and proc.returncode == 0:
+    if args[:1] != ("kernel",) and "json" in args and proc.returncode == 0:
         record = json.loads(out)
         record.pop("duration_seconds")
         out = json.dumps(record, indent=2, sort_keys=True).encode()
