@@ -13,7 +13,9 @@ job's start-up.  For the same reason each command imports its engine
 modules when it runs, not when this module loads: the sources are
 recompiled whenever bytecode is not cached, so a `kernel` job should
 not pay for the sequence, oracle, umbral and OEIS modules it never
-calls.
+calls, and a `triangle` job loads the oracle and `records` alone.
+The records are slot classes on `frozen.Frozen`, not dataclasses:
+importing `dataclasses` (and `inspect`) cost every job about 10 ms.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from . import __version__
 if TYPE_CHECKING:
     from pathlib import Path
 
-    from .sequences import SequenceRecord
+    from .records import SequenceRecord
 
 EXIT_ORACLE_MISMATCH = 3
 EXIT_OEIS_MISMATCH = 4
@@ -169,11 +171,16 @@ def _oeis(record: SequenceRecord, oeis_id: str | None, offline: bool) -> int:
 
 
 def _run(opts: argparse.Namespace, family: str, params: dict, n_terms: int) -> None:
-    from .oracle import OracleLimitError
-    from .sequences import OracleMismatchError, apply_total, run_job
+    from .oracle import OracleLimitError, OracleMismatchError
+    from .records import TRIANGLE, apply_total, triangle_seq
 
     try:
-        reduced = run_job(family, params, n_terms, opts.oracle_depth, opts.dump_series)
+        if family == TRIANGLE:
+            reduced = triangle_seq(n_terms)
+        else:
+            from .sequences import run_job
+
+            reduced = run_job(family, params, n_terms, opts.oracle_depth, opts.dump_series)
     except OracleMismatchError as exc:
         print(f"oracle mismatch: {exc}", file=sys.stderr)
         sys.exit(EXIT_ORACLE_MISMATCH)

@@ -121,11 +121,11 @@ reproduce the sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from operator import add, lshift, mul, sub
 from typing import Iterable, Iterator, Sequence
 
+from .frozen import Frozen
 from .poly import (
     RING_KERNEL,
     RationalKernel,
@@ -135,13 +135,12 @@ from .poly import (
 )
 from .tiles import ShiftSpec, Tile, UNIT_WEIGHT, enumerate_tiles, ring_for
 
-@dataclass(frozen=True)
-class BoardShape:
+class BoardShape(Frozen):
     """Row r has n - shortfalls[r] cells at board size n; the series
-    starts at n = min_n."""
+    starts at n = min_n (0 by default)."""
 
-    shortfalls: tuple[int, ...]
-    min_n: int = 0
+    __slots__ = ("shortfalls", "min_n")
+    _defaults = {"min_n": 0}
 
     @property
     def rows(self) -> int:
@@ -166,12 +165,10 @@ def trapezoid3() -> BoardShape:
     return BoardShape((0, 1, 2), min_n=3)
 
 
-@dataclass(frozen=True)
-class SeriesTable:
+class SeriesTable(Frozen):
     """Weight polynomials P_n for n = first_n .. first_n+len-1."""
 
-    first_n: int
-    polys: tuple[WeightPolynomial, ...]
+    __slots__ = ("first_n", "polys")
 
     def poly(self, n: int) -> WeightPolynomial:
         i = n - self.first_n

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-from .sequences import SequenceRecord
+from .frozen import Frozen
+from .records import SequenceRecord
 
 CACHE_ENV_VAR = "LATINRECT_OEIS_CACHE"
 #: seconds a download may take before the check is unverifiable
@@ -120,13 +120,8 @@ def fetch_bfile(oeis_id: str, offline: bool = False) -> dict[int, int]:
     return terms
 
 
-@dataclass(frozen=True)
-class OeisReport:
-    oeis_id: str
-    status: str
-    terms_compared: int
-    first_divergence: int | None
-    detail: str
+class OeisReport(Frozen):
+    __slots__ = ("oeis_id", "status", "terms_compared", "first_divergence", "detail")
 
     def summary(self) -> str:
         head = f"{self.oeis_id}: {self.status.upper()} ({self.terms_compared} terms compared)"

@@ -24,6 +24,12 @@ carried down the row before the last and stepped as soon as a
 last-row cell's bans are fixed, so every middle row with a common
 prefix shares its completions.
 
+Rows 1..k-1 may be counted in any order, so the longest goes last,
+to the DP, and the others are backtracked shortest first, ties in
+index order.  On a triangle that counts row 1 (n-1 cells) by the DP,
+not the one-cell top row: `count_latin_triangle(7)` takes about a
+quarter of the time of index order.  Rectangles keep their order.
+
 The DP state is one int of 2^n fields, each (n!).bit_length() + 1
 bits wide, and field i counts the prefixes whose set of used values
 is i (value v is bit v - 1 of i).  A step takes, for each allowed
@@ -55,6 +61,14 @@ MAX_N_TRIANGLE = 7
 
 class OracleLimitError(ValueError):
     """The requested size is beyond honest brute-force reach."""
+
+
+class OracleMismatchError(RuntimeError):
+    """Engine and oracle disagree; carries enough context to debug."""
+
+    def __init__(self, message: str, diagnostics: str):
+        super().__init__(message + "\n" + diagnostics)
+        self.diagnostics = diagnostics
 
 
 def _guard(n: int, cap: int, what: str) -> None:
@@ -112,14 +126,20 @@ def _count_rows(
 ) -> int:
     """Reduced arrays with the given row lengths over 1..n, where each
     s in bans[a, b] bans row-b cell m from the row-a entry at m - s.
-    Rows 1..k-2 are backtracked.  Last-row cell m reads the row before
-    it up to m + lookahead; it is stepped once that row is filled that
-    far, every middle row with that prefix shares the result, and a
-    zero state ends the branch."""
+    Rows 1..k-1 are relabeled shortest first (swapping rows a < b turns
+    s in bans[a, b] into -s in bans[b, a]); rows 1..k-2 are backtracked
+    and the last, longest row is counted by the DP.  Last-row cell m
+    reads the row before it up to m + lookahead; it is stepped once
+    that row is filled that far, every middle row with that prefix
+    shares the result, and a zero state ends the branch."""
     k = len(lengths)
     if k == 1:
         return 1
-    bans = {pair: frozenset(shifts) for pair, shifts in bans.items()}
+    order = [0] + sorted(range(1, k), key=lambda r: lengths[r])
+    bans = {(i, j): frozenset(bans.get((a, b), ())) if a < b
+            else frozenset(-s for s in bans.get((b, a), ()))
+            for j, b in enumerate(order) for i, a in enumerate(order[:j])}
+    lengths = [lengths[r] for r in order]
     full = (1 << (n + 1)) - 2
     # rows of value bits at 1-based positions, row 0 the identity
     rows = [[1 << v for v in range(n + 1)]] + [[0] * (size + 1) for size in lengths[1:]]

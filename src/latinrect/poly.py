@@ -45,8 +45,9 @@ So the series recurrence never divides.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
+
+from .frozen import Frozen
 
 
 class RingMismatchError(ValueError):
@@ -61,17 +62,16 @@ class SingularSystemError(ArithmeticError):
     """The transfer system has no unique solution; upstream bug."""
 
 
-@dataclass(frozen=True)
-class PolyRing:
+class PolyRing(Frozen):
     """An ordered list of variable names; nothing more.
 
     Ring identity is by value, so two independently built descriptors
     with the same variables are the same ring.
     """
 
-    variables: tuple[str, ...]
+    __slots__ = ("variables",)
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if len(set(self.variables)) != len(self.variables):
             raise ValueError(f"duplicate variable names: {self.variables!r}")
         if not all(isinstance(v, str) and v for v in self.variables):

@@ -6,27 +6,27 @@ replays a prefix on the brute-force oracle as it goes and refuses to
 return on any disagreement: a mismatch raises OracleMismatchError
 carrying the tile alphabet and the offending weight polynomial,
 because a wrong count with a plausible look is the worst failure mode
-this package has.  Latin triangles have no engine route and are
-computed by the oracle outright, marked as such.
+this package has.  Latin triangles have no engine route: the oracle
+counts them outright, in `records`, which loads no sweep engine.
 """
 
 from __future__ import annotations
 
-import math
 import time
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from . import __version__ as ENGINE_VERSION
 from . import oracle, umbra
-from .dp import BoardShape, packed_snapshots, rectangle, trapezoid3
+from .dp import packed_snapshots, rectangle, trapezoid3
+from .frozen import Frozen
+from .oracle import OracleMismatchError
 from .poly import WeightPolynomial
+from .records import TRIANGLE, SequenceRecord, check_n_terms, triangle_seq
 from .tiles import ShiftSpec, dump_tiles, enumerate_tiles
 
 GEN_DER = "gen-der"
 GLR3 = "glr3"
 TRAPEZOID = "trapezoid"
-TRIANGLE = "triangle-oracle"
 
 #: trapezoid boards in shift-set form: rows n, n-1, n-2, middle cells
 #: avoid the identity at offsets {0,-1}, top at {0,-2} against row 0
@@ -34,20 +34,13 @@ TRIANGLE = "triangle-oracle"
 TRAPEZOID_SPEC = ShiftSpec.three_rows({0, -1}, {0, -2}, {0, -1})
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Frozen):
     """What run_family needs to know about one engine family.  The
     oracle and umbral functions are looked up in their modules at call
     time, so wrapping or patching `oracle.count_*` and
     `umbra.umbral_eval_*` takes effect."""
 
-    name: str
-    spec: Callable[[Mapping[str, Any]], ShiftSpec]
-    board: BoardShape
-    umbral: umbra.UmbralKind
-    oracle: Callable[[ShiftSpec, int], int]
-    oracle_cap: int
-    default_depth: int
+    __slots__ = ("name", "spec", "board", "umbral", "oracle", "oracle_cap", "default_depth")
 
 
 FAMILIES = {
@@ -81,60 +74,6 @@ FAMILIES = {
 }
 
 
-class OracleMismatchError(RuntimeError):
-    """Engine and oracle disagree; carries enough context to debug."""
-
-    def __init__(self, message: str, diagnostics: str):
-        super().__init__(message + "\n" + diagnostics)
-        self.diagnostics = diagnostics
-
-
-@dataclass
-class SequenceRecord:
-    """One computed prefix, with enough metadata to reproduce it."""
-
-    family: str
-    params: dict[str, Any]
-    offset: int
-    terms: list[int]
-    reduced: bool
-    provenance: str
-    engine_version: str
-    duration_seconds: float
-    #: P_n for n <= series_to from the same sweep; not serialised
-    series: dict[int, WeightPolynomial] = field(default_factory=dict, compare=False)
-
-    @property
-    def last_n(self) -> int:
-        return self.offset + len(self.terms) - 1
-
-    def term(self, n: int) -> int:
-        i = n - self.offset
-        if not 0 <= i < len(self.terms):
-            raise IndexError(f"term {n} outside {self.offset}..{self.last_n}")
-        return self.terms[i]
-
-    def indexed_terms(self) -> list[tuple[int, int]]:
-        return [(self.offset + i, t) for i, t in enumerate(self.terms)]
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "family": self.family,
-            "params": self.params,
-            "offset": self.offset,
-            "terms": [str(t) for t in self.terms],
-            "reduced": self.reduced,
-            "provenance": self.provenance,
-            "engine_version": self.engine_version,
-            "duration_seconds": self.duration_seconds,
-        }
-
-
-def _check_n_terms(n_terms: int) -> None:
-    if n_terms < 1:
-        raise ValueError(f"need at least one term, got {n_terms}")
-
-
 def run_family(
     family: Family,
     params: Mapping[str, Iterable[int]],
@@ -148,7 +87,7 @@ def run_family(
     the sweep yields it, then dropped unless n <= series_to (the sweep
     runs on to series_to if needed)."""
     t0 = time.perf_counter()
-    _check_n_terms(n_terms)
+    check_n_terms(n_terms)
     depth = family.default_depth if oracle_depth is None else oracle_depth
     if depth > family.oracle_cap:
         raise oracle.OracleLimitError(
@@ -214,36 +153,6 @@ def glr3_seq(
 def trapezoid_seq(n_terms: int, oracle_depth: int | None = None) -> SequenceRecord:
     """Latin trapezoids with rows n, n-1, n-2; terms for n = 3..n_terms+2."""
     return run_family(FAMILIES[TRAPEZOID], {}, n_terms, oracle_depth)
-
-
-def triangle_seq(n_terms: int) -> SequenceRecord:
-    """Latin triangles (rows n..1), oracle-only; terms for n = 3..n_terms+2."""
-    t0 = time.perf_counter()
-    _check_n_terms(n_terms)
-    n_max = n_terms + 2
-    if n_max > oracle.MAX_N_TRIANGLE:
-        raise oracle.OracleLimitError(
-            f"triangle counts stop at n={oracle.MAX_N_TRIANGLE}; asked for n={n_max}"
-        )
-    terms = [oracle.count_latin_triangle(n) for n in range(3, n_max + 1)]
-    return SequenceRecord(
-        family=TRIANGLE,
-        params={},
-        offset=3,
-        terms=terms,
-        reduced=True,
-        provenance="oracle",
-        engine_version=ENGINE_VERSION,
-        duration_seconds=time.perf_counter() - t0,
-    )
-
-
-def apply_total(record: SequenceRecord) -> SequenceRecord:
-    """Drop the reduction: multiply term n by n! (row 0 free again)."""
-    if not record.reduced:
-        return record
-    terms = [t * math.factorial(n) for n, t in record.indexed_terms()]
-    return replace(record, terms=terms, reduced=False)
 
 
 def run_job(

@@ -31,24 +31,21 @@ umbral operators consume downstream.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable
 
+from .frozen import Frozen
 from .poly import RING_2ROW, RING_3ROW, PolyRing
 
 UNIT_WEIGHT = "1"
 
 
-@dataclass(frozen=True)
-class ShiftSpec:
-    """Forbidden shift sets for 2 or 3 rows."""
+class ShiftSpec(Frozen):
+    """Forbidden shift sets for 2 or 3 rows, each empty by default."""
 
-    rows: int
-    s12: frozenset[int] = frozenset()
-    s13: frozenset[int] = frozenset()
-    s23: frozenset[int] = frozenset()
+    __slots__ = ("rows", "s12", "s13", "s23")
+    _defaults = dict.fromkeys(("s12", "s13", "s23"), frozenset())
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if self.rows not in (2, 3):
             raise ValueError(f"rows must be 2 or 3, got {self.rows}")
         if self.rows == 2 and (self.s13 or self.s23):
@@ -86,17 +83,14 @@ class ShiftSpec:
         return f"S12={fmt(self.s12)} S13={fmt(self.s13)} S23={fmt(self.s23)}"
 
 
-@dataclass(frozen=True)
-class Tile:
+class Tile(Frozen):
     """A connected component shape: cells (dx, row), translated so the
     smallest dx is 0 and sorted in column-major scan order.  cells[0]
     is therefore the cell the sweep anchors the tile at."""
 
-    cells: tuple[tuple[int, int], ...]
-    coefficient: int
-    weight: str
+    __slots__ = ("cells", "coefficient", "weight")
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if not self.cells:
             raise ValueError("empty tile")
         if min(dx for dx, _ in self.cells) != 0:

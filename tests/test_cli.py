@@ -353,8 +353,9 @@ class TestImports:
     """Each command imports only the engine modules it runs."""
 
     @staticmethod
-    def loaded(*args):
-        # a fresh interpreter, so modules imported by earlier tests do not count
+    def modules(*args):
+        """Every module loaded by running the command line in a fresh
+        interpreter, so modules imported by earlier tests do not count."""
         script = (
             "import sys\n"
             "from latinrect.cli import main\n"
@@ -362,14 +363,16 @@ class TestImports:
             "    if sys.argv[1:]:\n"
             "        main(sys.argv[1:], prog_name='latinrect')\n"
             "finally:\n"
-            "    print(*sorted(m for m in sys.modules if m.startswith('latinrect')),\n"
-            "          file=sys.stderr)\n"
+            "    print(*sorted(sys.modules), file=sys.stderr)\n"
         )
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         return set(proc.stderr.splitlines()[-1].split())
+
+    def loaded(self, *args):
+        return {m for m in self.modules(*args) if m.startswith("latinrect")}
 
     def test_import_adds_only_stdlib_modules(self):
         script = (
@@ -400,3 +403,25 @@ class TestImports:
         mods = self.loaded("gen-der", "--shifts", "0,1", "-N", "5")
         assert "latinrect.sequences" in mods
         assert "latinrect.oeis" not in mods
+
+    def test_triangle_loads_only_the_oracle(self):
+        mods = self.loaded("triangle", "--n", "5")
+        assert "latinrect.oracle" in mods
+        for name in ("dp", "poly", "tiles", "umbra", "sequences"):
+            assert f"latinrect.{name}" not in mods
+
+    def test_no_command_imports_dataclasses(self, cached_271):
+        # dataclasses imports inspect: about 10 ms of every job's start-up
+        bare = subprocess.run([sys.executable, "-c", "import sys; print(*sys.modules)"],
+                              capture_output=True, text=True, timeout=60).stdout.split()
+        jobs = (
+            ("kernel", "--shifts", "0,1,-2"),
+            ("gen-der", "--shifts", "0,1", "-N", "5"),
+            ("glr3", "--s12", "0", "--s13", "0", "--s23", "0", "-N", "4"),
+            ("trapezoid", "-N", "3"),
+            ("triangle", "--n", "5"),
+            ("gen-der", "--shifts", "0,1", "-N", "5", "--oeis", "A000271", "--offline"),
+        )
+        for job in jobs:
+            added = self.modules(*job) - set(bare)
+            assert not {"dataclasses", "inspect"} & added, job

@@ -1,6 +1,7 @@
 """Property tests over random shift specs: the engine against the
 brute-force oracle, S/-S mirror symmetry, the one-pass mirrored
 trapezoid sweep against a sweep of each unmirrored board on its own,
+the glr3 oracle under a swap of rows 1 and 2,
 the 2-row sweep against its rational kernel, and exact-cover counts
 against tiling enumeration.
 
@@ -88,3 +89,12 @@ def test_unit_weight_sweep_counts_exact_covers(spec):
     for n, p in weight_snapshots(unsigned, board, N_MAX):
         assert p.constant_term() == oracle.count_tilings(tiles, board.row_lengths(n)), \
             (spec.describe(), n)
+
+
+@PROPERTY
+@given(three_row_specs)
+def test_glr3_oracle_row_swap(spec):
+    # rows 1 and 2 trade places: s12 and s13 swap, and s23 turns into -s23
+    for n in range(1, N_MAX + 1):
+        assert oracle.count_glr3(spec.s12, spec.s13, spec.s23, n) == oracle.count_glr3(
+            spec.s13, spec.s12, {-s for s in spec.s23}, n), (spec.describe(), n)

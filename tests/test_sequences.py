@@ -7,28 +7,26 @@ from __future__ import annotations
 import math
 import random
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 
 import latinrect.sequences as seqmod
 from latinrect.dp import weight_series
 from latinrect.oracle import OracleLimitError, count_generalized_perms_banded
+from latinrect.records import TRIANGLE, apply_total, triangle_seq
 from latinrect.sequences import (
     FAMILIES,
     GEN_DER,
     GLR3,
     TRAPEZOID,
     TRAPEZOID_SPEC,
-    TRIANGLE,
+    Family,
     OracleMismatchError,
-    apply_total,
     gen_der_seq,
     glr3_seq,
     run_family,
     run_job,
     trapezoid_seq,
-    triangle_seq,
 )
 from latinrect.tiles import UNIT_WEIGHT, ShiftSpec, enumerate_tiles
 from test_dp import random_three_row_specs, retagged
@@ -201,6 +199,13 @@ def assert_terms_match_series_table(family, params, n_terms, tiles=None):
     assert rec.terms == want, (spec.describe(), family.board)
 
 
+def trapezoid_under(spec):
+    """The trapezoid family, its board swept under another spec's tiles."""
+    trap = FAMILIES[TRAPEZOID]
+    return Family(trap.name, lambda _: spec, trap.board, trap.umbral, trap.oracle,
+                  trap.oracle_cap, trap.default_depth)
+
+
 class TestDirectCount:
     """The counts of run_family, taken straight from the packed runs,
     against the operators on the unpacked P_n, at every n."""
@@ -220,8 +225,7 @@ class TestDirectCount:
             params = {"s12": spec.s12, "s13": spec.s13, "s23": spec.s23}
             assert_terms_match_series_table(FAMILIES[GLR3], params, 7)
             # the trapezoid board swept mirrored, under this spec's tiles
-            trap = replace(FAMILIES[TRAPEZOID], spec=lambda _, spec=spec: spec)
-            assert_terms_match_series_table(trap, {}, 6)
+            assert_terms_match_series_table(trapezoid_under(spec), {}, 6)
 
     @pytest.mark.parametrize("cells,weight", [
         (((0, 0), (0, 1)), UNIT_WEIGHT),
@@ -232,9 +236,8 @@ class TestDirectCount:
         params = {"s12": [0, 1], "s13": [-1, 0], "s23": [0]}
         spec = ShiftSpec.three_rows(*params.values())
         tiles = retagged(retagged(enumerate_tiles(spec), cells, weight), ((0, 0),), "x1")
-        trap = replace(FAMILIES[TRAPEZOID], spec=lambda _: spec)
         assert_terms_match_series_table(FAMILIES[GLR3], params, 7, tiles)
-        assert_terms_match_series_table(trap, {}, 5, tiles)
+        assert_terms_match_series_table(trapezoid_under(spec), {}, 5, tiles)
 
     @pytest.mark.parametrize("name,params,evaluator", [
         (GEN_DER, {"shifts": [0, 1]}, "umbral_eval_2row"),
