@@ -236,13 +236,12 @@ class _Sweep:
             ops[row].append((bits, kd, p + self.stride * q, cf))
         self.ops_by_row = ops
         self._tables: dict[tuple[int, tuple[bool, ...]], list[tuple[int, int, int, int]]] = {}
-        bits, self.live = self._plan(board, n_max)
-        self.bits = bits if self.k == 3 else 0
+        self.bits, self.live = self._plan(board, n_max)
 
     def _plan(self, board: BoardShape, n_max: int) -> tuple[int, list[frozenset[int]]]:
-        """The slot width B and live[c] for every boundary c, from one
-        walk over the column tables: forwards for B, then back through
-        the target sets it kept for live."""
+        """The slot width B (0 on two rows) and live[c] for every boundary
+        c, from one walk over the column tables: forwards for B, then
+        back through the target sets it kept for live."""
         bound = {0: 1}
         top = 1
         targets: dict[tuple[int, tuple[bool, ...]], frozenset[int]] = {}
@@ -251,11 +250,14 @@ class _Sweep:
             blocked = board.blocked_flags(column)
             nxt: dict[int, int] = {}
             for mask, b in bound.items():
-                table = self.column_table(mask, blocked)
-                for m2, _, _, cf in table:
-                    nxt[m2] = nxt.get(m2, 0) + abs(cf) * b
                 if (mask, blocked) not in targets:
+                    table = self.column_table(mask, blocked)
                     targets[mask, blocked] = frozenset(m2 for m2, *_ in table)
+                if self.k == 3:
+                    for m2, _, _, cf in self.column_table(mask, blocked):
+                        nxt[m2] = nxt.get(m2, 0) + abs(cf) * b
+                else:  # no slots to bound: only the reached set
+                    nxt.update(dict.fromkeys(targets[mask, blocked], 1))
             walked.append([(m, targets[m, blocked]) for m in bound])
             bound = nxt
             top = max(top, max(bound.values(), default=0))
@@ -263,7 +265,7 @@ class _Sweep:
         for column in reversed(walked):
             live.append(frozenset([0, *(m for m, out in column if not live[-1].isdisjoint(out))]))
         # a sign bit, then whole bytes so unpack can slice the digits
-        return -(-(top.bit_length() + 1) // 8) * 8, live[::-1]
+        return (-(-(top.bit_length() + 1) // 8) * 8 if self.k == 3 else 0), live[::-1]
 
     def column_table(
         self, mask0: int, blocked: tuple[bool, ...]

@@ -1,8 +1,8 @@
 """End-to-end CLI behavior, run in process through `main` with stdout,
 stderr and the environment captured (fresh processes where start-up
-matters): formats, file output, dump flags, OEIS checking, option
-values that begin with '-', the documented exit codes, and what
-importing the front end loads."""
+or the process exit matters): formats, file output, dump flags, OEIS
+checking, option values that begin with '-', the documented exit
+codes, how a process ends, and what importing the front end loads."""
 
 from __future__ import annotations
 
@@ -326,6 +326,111 @@ class TestExitCodes:
                    "--oeis", "271", "--offline")
         assert r.exit_code == 0
         assert r.stdout.splitlines()[2] == "3 6"  # 1 * 3!
+
+
+def buffered_env(**extra: str) -> dict[str, str]:
+    """os.environ with src/ on the path and stdout block-buffered into a
+    pipe, as in a shell, so output that nothing flushes would be lost."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return dict(env, PYTHONPATH=str(ROOT / "src"), **extra)
+
+
+def latinrect(*args: str, cwd: Path | None = None,
+              env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
+    """A fresh `python -m latinrect.cli` process, bytes captured."""
+    return subprocess.run([sys.executable, "-m", "latinrect.cli", *args],
+                          env=buffered_env(**(env or {})), cwd=cwd,
+                          capture_output=True, timeout=60)
+
+
+def python(script: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-c", script], env=buffered_env(),
+                          capture_output=True, text=True, timeout=60)
+
+
+class TestProcessEntry:
+    """A process ends through run(): a flush, then os._exit, with what
+    main() prints and the code it exits with."""
+
+    def test_piped_output_is_the_in_process_output(self):
+        args = ("gen-der", "--shifts", "0,1", "-N", "300")
+        proc = latinrect(*args)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert len(proc.stdout) > 65536  # more than one pipe buffer
+        assert proc.stdout == invoke(*args).stdout.encode()
+
+    @pytest.mark.parametrize("fmt", ["plain", "bfile", "json"])
+    def test_output_file_gets_the_stdout_bytes(self, tmp_path, fmt):
+        args = ("gen-der", "--shifts", "0,1", "-N", "300", "-f", fmt)
+        proc = latinrect(*args, "-o", "terms.txt", cwd=tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"wrote terms.txt\n")
+        written = (tmp_path / "terms.txt").read_bytes()
+        if fmt == "json":  # the one field that differs from run to run
+            written, piped = (
+                {**json.loads(text), "duration_seconds": 0}
+                for text in (written, latinrect(*args).stdout)
+            )
+        else:
+            piped = latinrect(*args).stdout
+        assert written == piped
+
+    @pytest.mark.parametrize("args, code, text", [
+        (("gen-der", "--shifts", "0", "-N", "0"), 2,
+         "latinrect gen-der: error: argument -N: 0 is not in the range x>=1\n"),
+        (("bogus",), 2, "latinrect: error: argument COMMAND: invalid choice: 'bogus'"),
+        (("gen-der", "--shifts", "0,1", "-N", "4", "--oeis", "271", "--offline"), 5,
+         "A000271: UNVERIFIABLE (0 terms compared) -- offline and no cached b-file"),
+        (("--help",), 0, ""),
+        (("--version",), 0, ""),
+    ], ids=["range", "command", "offline", "help", "version"])
+    def test_exit_code_and_streams_are_main_s(self, tmp_path, args, code, text):
+        env = {CACHE_ENV_VAR: str(tmp_path / "empty")}
+        proc = latinrect(*args, env=env)
+        want = invoke(*args, env=env)
+        assert proc.returncode == want.exit_code == code
+        assert proc.stdout.decode() == want.stdout
+        assert proc.stderr.decode() == want.stderr
+        assert text in want.stderr
+
+    @pytest.mark.parametrize("args", [("glr3", "-N", "50"), ("--help",)],
+                             ids=["job", "help"])
+    def test_closed_buffered_stdout_is_1_without_traceback(self, args):
+        # `--help` leaves its text in the buffer: run()'s flush meets the pipe
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "latinrect.cli", *args],
+            env=buffered_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+        assert stderr == b""
+
+    def test_main_never_ends_the_process(self):
+        proc = python(
+            "from latinrect.cli import main\n"
+            "main(['gen-der', '--shifts', '0,1', '-N', '3'])\n"
+            "print('after')\n"
+        )
+        assert (proc.returncode, proc.stdout) == (0, "1 0\n2 0\n3 1\nafter\n")
+
+    @pytest.mark.parametrize("raised, code, stderr", [
+        ("SystemExit(None)", 0, ""),
+        ("SystemExit(True)", 1, ""),
+        ("SystemExit(4)", 4, ""),
+        ("SystemExit('no int')", 1, "no int\n"),
+        ("RuntimeError('boom')", 1, "RuntimeError: boom\n"),
+    ])
+    def test_exit_codes_map_as_the_interpreter_maps_them(self, raised, code, stderr):
+        proc = python(
+            "import latinrect.cli as cli\n"
+            "def main():\n"
+            "    print('out')\n"
+            f"    raise {raised}\n"
+            "cli.main = main\n"
+            "cli.run()\n"
+        )
+        assert (proc.returncode, proc.stdout) == (code, "out\n")
+        assert proc.stderr.endswith(stderr)
 
 
 class TestHelp:

@@ -36,13 +36,16 @@ requests past an oracle cap, and the lines the parser itself rejects
 (a shift set that is not integers, -N 0, a negative oracle depth, an
 unknown format, an abbreviated option, a missing required option,
 -o naming a directory, an unknown command and no command at all).
+The OUTPUT_JOBS write their terms with `-o OUTPUT_FILE`, one per
+format; each runs in a fresh temporary directory per checkout, so the
+file name, and the `wrote ...` line on stderr, read the same on both.
 Each command line runs as a fresh `python3 -m latinrect.cli` process
-on this checkout's source and on PARENT_DIR's.  stdout, stderr and
-exit code must match; a JSON record is compared without
-its `duration_seconds`, the one field that differs from run to run.
-Prints each command line that differs, naming which of exit code,
-stdout and stderr differ, and exits 1 if there is one, 0 otherwise.
-perfbench/ is only read.
+on this checkout's source and on PARENT_DIR's.  stdout, stderr, exit
+code and any file written must match; a JSON record is compared
+without its `duration_seconds`, the one field that differs from run
+to run.  Prints each command line that differs, naming which of exit
+code, stdout, stderr and file differ, and exits 1 if there is one, 0
+otherwise.  perfbench/ is only read.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -104,6 +108,11 @@ USAGE_ERRORS = (
     ("bogus",),
     (),
 )
+OUTPUT_FILE = "terms.out"
+OUTPUT_JOBS = tuple(
+    ("gen-der", "--shifts", "0,1", "-N", "300", "-f", fmt, "-o", OUTPUT_FILE)
+    for fmt in ("plain", "bfile", "json")
+)
 
 
 def command_lines() -> list[tuple[str, ...]]:
@@ -125,25 +134,33 @@ def command_lines() -> list[tuple[str, ...]]:
         mirror = job if "" in job else mirrored(job)
         lines += [(*args, "-f", "plain") for args in dict.fromkeys((job, mirror))]
     lines += [(*job, flag) for job in FLAG_JOBS for flag in ("--total", "--dump-tiles")]
-    return lines + list(USAGE_ERRORS)
+    return lines + list(USAGE_ERRORS) + list(OUTPUT_JOBS)
 
 
-PARTS = ("exit code", "stdout", "stderr")  # the fields of run()'s result
+PARTS = ("exit code", "stdout", "stderr", "file")  # the fields of run()'s result
 
 
-def run(checkout: Path, args: tuple[str, ...]) -> tuple[int, bytes, bytes]:
+def _without_duration(text: bytes) -> bytes:
+    record = json.loads(text)
+    record.pop("duration_seconds")
+    return json.dumps(record, indent=2, sort_keys=True).encode()
+
+
+def run(checkout: Path, args: tuple[str, ...]) -> tuple[int, bytes, bytes, bytes | None]:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(checkout / "src")
     # the OEIS check reads the frozen b-files and never downloads
     env["LATINRECT_OEIS_CACHE"] = str(checkout / "tests" / "fixtures")
-    proc = subprocess.run([sys.executable, "-m", "latinrect.cli", *args],
-                          capture_output=True, env=env, cwd=checkout)
+    with tempfile.TemporaryDirectory() as scratch:
+        cwd = Path(scratch) if OUTPUT_FILE in args else checkout
+        proc = subprocess.run([sys.executable, "-m", "latinrect.cli", *args],
+                              capture_output=True, env=env, cwd=cwd)
+        target = cwd / OUTPUT_FILE
+        written = target.read_bytes() if OUTPUT_FILE in args and target.is_file() else None
     out = proc.stdout
     if args[:1] != ("kernel",) and "json" in args and proc.returncode == 0:
-        record = json.loads(out)
-        record.pop("duration_seconds")
-        out = json.dumps(record, indent=2, sort_keys=True).encode()
-    return proc.returncode, out, proc.stderr
+        out, written = (text and _without_duration(text) for text in (out, written))
+    return proc.returncode, out, proc.stderr, written
 
 
 def main(argv: list[str]) -> int:
