@@ -3,8 +3,8 @@
 Exit codes: 0 success (including an OEIS match when one was asked
 for); 1 unexpected error; 2 usage error; 3 engine/oracle mismatch;
 4 OEIS mismatch; 5 OEIS check unverifiable (offline with no cache,
-a cached b-file that does not parse, or no overlapping terms).  A
-requested check never passes silently.
+a cached b-file that cannot be read or does not parse, or no
+overlapping terms).  A requested check never passes silently.
 
 Start-up is most of a short job, and every job is a fresh process, so
 this module loads nothing beyond the standard library's argparse and
@@ -112,25 +112,13 @@ def _output_path(value: str) -> Path:
     return path
 
 
-def _bfile_comments(record: SequenceRecord) -> tuple[str, ...]:
-    params = " ".join(f"{k}={v}" for k, v in sorted(record.params.items()))
-    head = f"family={record.family}"
-    if params:
-        head += f" {params}"
-    return (
-        head,
-        f"n={record.offset}..{record.last_n} reduced={record.reduced} "
-        f"provenance={record.provenance} engine=latinrect-{record.engine_version}",
-    )
-
-
 def _render(record: SequenceRecord, fmt: str) -> str:
     if fmt == "plain":
         return "\n".join(f"{n} {t}" for n, t in record.indexed_terms()) + "\n"
     if fmt == "bfile":
         from .oeis import format_bfile
 
-        return format_bfile(record, _bfile_comments(record))
+        return format_bfile(record)
     import json
 
     return json.dumps(record.to_json_dict(), indent=2, sort_keys=True) + "\n"
@@ -242,7 +230,7 @@ def kernel_cmd(opts: argparse.Namespace) -> None:
         payload = {
             "shifts": list(opts.shifts),
             "kernel": kern.canonical_str(),
-            "normalized": kern.normalized,
+            "normalized": True,  # den[0] is 1 for every kernel
             "numerator_degree": kern.order()[0],
             "denominator_degree": kern.order()[1],
         }

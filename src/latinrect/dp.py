@@ -202,9 +202,10 @@ _Row = tuple[int, int, list[int]]
 
 class _Sweep:
     """Shared machinery: tile ops, cached column tables and, for three
-    rows, the slot layout and slot width of the packed coefficients."""
+    rows, the slot layout and slot width of the packed coefficients,
+    planned for boards up to n_max (0 for kernel2, which reads tables)."""
 
-    def __init__(self, tiles: Sequence[Tile], board: BoardShape, n_max: int = 0):
+    def __init__(self, tiles: Sequence[Tile], board: BoardShape, n_max: int):
         self.k = board.rows
         self.ring = ring_for(board.rows)
         self.stride = n_max + 1
@@ -302,16 +303,16 @@ class _Sweep:
         dist: dict[int, _Run],
         blocked: tuple[bool, ...],
         *,
-        live: frozenset[int] | None = None,
+        live: frozenset[int],
     ) -> dict[int, _Run]:
-        """One column; with live, only the target profiles in it are kept."""
+        """One column; only the target profiles in live are kept."""
         rows = []
         spans: dict[int, list[int]] = {}
         for mask, run in dist.items():
             n = len(run)
             parts = [(run[i:i + _CHUNK], run.first + i) for i in range(0, n, _CHUNK)]
             for m2, kd, sd, cf in self.column_table(mask, blocked):
-                if live is not None and m2 not in live:
+                if m2 not in live:
                     continue
                 lo = run.first + kd
                 span = spans.get(m2)
@@ -523,34 +524,22 @@ def kernel2(shifts: Iterable[int]) -> RationalKernel:
             f"kernel shift sets span at most {MAX_KERNEL_SPAN} columns, 0 included; "
             f"{sorted(shifts)} spans {span}"
         )
-    spec = ShiftSpec.two_rows(shifts)
-    tiles = enumerate_tiles(spec)
-    board = rectangle(2)
-    sweep = _Sweep(tiles, board)
-    open_col = (False,) * board.rows
+    sweep = _Sweep(enumerate_tiles(ShiftSpec.two_rows(shifts)), rectangle(2), 0)
+    open_col = (False, False)
+    # row i of I - X*T, found as its state is: {j: {(x degree, X degree): c}}
     order = [0]
     index = {0: 0}
-    edges: list[list[tuple[int, int, int]]] = []
-    at = 0
-    while at < len(order):
-        mask = order[at]
-        row: list[tuple[int, int, int]] = []
+    rows: list[dict[int, dict[tuple[int, int], int]]] = []
+    for i, mask in enumerate(order):  # order grows as states are found
+        row = {i: {(0, 0): 1}}
         for m2, delta, _, cf in sweep.column_table(mask, open_col):
             if m2 not in index:
                 index[m2] = len(order)
                 order.append(m2)
-            row.append((index[m2], delta, cf))
-        edges.append(row)
-        at += 1
-    nstates = len(order)
-    ring = RING_KERNEL
-    zero = ring.zero()
-    amat = [[zero for _ in range(nstates)] for _ in range(nstates)]
-    for i in range(nstates):
-        amat[i][i] = ring.one()
-        for j, delta, cf in edges[i]:
-            # exponent lane 0 is the x degree; X carries the column count
-            amat[i][j] = amat[i][j] - WeightPolynomial(ring, {(delta, 1): cf})
-    rhs = [ring.one() if i == 0 else zero for i in range(nstates)]
+            row.setdefault(index[m2], {})[delta, 1] = -cf  # one table row per (m2, delta)
+        rows.append(row)
+    amat = [[WeightPolynomial(RING_KERNEL, row.get(j, {})) for j in range(len(order))]
+            for row in rows]
+    rhs = [RING_KERNEL.one()] + [RING_KERNEL.zero()] * (len(order) - 1)
     num, den = solve_linear_system(amat, rhs)
     return RationalKernel.from_bivariate(num, den, "X")

@@ -4,8 +4,9 @@ and compare a computed record against catalog terms.
 Comparison never silently passes: the report says how many indexed
 terms overlapped and where the first divergence sits, and a fetch
 that cannot happen (offline with a cold cache) or a cached b-file
-that does not parse comes back as status "unverifiable" rather than
-as a success.  Only a download that parses is cached.
+that cannot be read or does not parse comes back as status
+"unverifiable" rather than as a success.  Only a download that parses
+is cached.
 """
 
 from __future__ import annotations
@@ -68,9 +69,15 @@ def parse_bfile(text: str) -> dict[int, int]:
     return out
 
 
-def format_bfile(record: SequenceRecord, comments: tuple[str, ...] = ()) -> str:
-    lines = [f"# {c}" for c in comments]
-    lines += [f"{n} {t}" for n, t in record.indexed_terms()]
+def format_bfile(record: SequenceRecord) -> str:
+    """The record's terms under a comment header that says how to reproduce them."""
+    params = "".join(f" {k}={v}" for k, v in sorted(record.params.items()))
+    lines = [
+        f"# family={record.family}{params}",
+        f"# n={record.offset}..{record.last_n} reduced={record.reduced} "
+        f"provenance={record.provenance} engine=latinrect-{record.engine_version}",
+        *(f"{n} {t}" for n, t in record.indexed_terms()),
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -87,13 +94,21 @@ def cache_path(oeis_id: str) -> Path:
 
 def fetch_bfile(oeis_id: str, offline: bool = False) -> dict[int, int]:
     """Return the parsed b-file, from cache when present; a cached file
-    that does not parse raises BFileFormatError.  A fresh download
-    that parses lands in the cache so later runs work offline; one
-    that does not (an error page, a cut-off transfer) is not cached."""
+    that does not parse raises BFileFormatError, and one that cannot be
+    read OeisUnavailableError.  A fresh download that parses lands in
+    the cache so later runs work offline; one that does not (an error
+    page, a cut-off transfer) is not cached, and neither is one the
+    cache cannot take, which is still returned."""
     path = cache_path(oeis_id)
     if path.exists():
-        # bytes that are not UTF-8 fail the parse, which names their line
-        return parse_bfile(path.read_text(errors="replace"))
+        try:
+            # bytes that are not UTF-8 fail the parse, which names their line
+            text = path.read_text(errors="replace")
+        except OSError as exc:
+            raise OeisUnavailableError(
+                f"cannot read cached b-file {path}: {exc.strerror}"
+            ) from exc
+        return parse_bfile(text)
     if offline:
         raise OeisUnavailableError(f"offline and no cached b-file at {path}")
     import urllib.error
@@ -109,14 +124,17 @@ def fetch_bfile(oeis_id: str, offline: bool = False) -> dict[int, int]:
         terms = parse_bfile(text)
     except BFileFormatError as exc:
         raise OeisUnavailableError(f"{url} is not a b-file: {exc}") from exc
-    path.parent.mkdir(parents=True, exist_ok=True)
     # a reader never sees a half-written cache file
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         tmp.write_text(text)
         os.replace(tmp, path)
+    except OSError:
+        pass  # the cache stays as it was; the terms are good all the same
     finally:
-        tmp.unlink(missing_ok=True)
+        if tmp.is_file():
+            tmp.unlink()
     return terms
 
 

@@ -489,10 +489,6 @@ class RationalKernel:
 
         return cls(small, series_var, split(num), split(den))
 
-    @property
-    def normalized(self) -> bool:
-        return bool(self.den) and self.den[0].is_one()
-
     def order(self) -> tuple[int, int]:
         """(numerator degree, denominator degree) in the series variable."""
         return len(self.num) - 1, len(self.den) - 1

@@ -21,7 +21,7 @@ from .dp import packed_snapshots, rectangle, trapezoid3
 from .frozen import Frozen
 from .oracle import OracleMismatchError
 from .poly import WeightPolynomial
-from .records import TRIANGLE, SequenceRecord, check_n_terms, triangle_seq
+from .records import SequenceRecord, check_n_terms
 from .tiles import ShiftSpec, dump_tiles, enumerate_tiles
 
 GEN_DER = "gen-der"
@@ -162,9 +162,7 @@ def run_job(
     oracle_depth: int | None = None,
     series_to: int | None = None,
 ) -> SequenceRecord:
-    """One job by family name; the other arguments are run_family's."""
-    if family == TRIANGLE:
-        return triangle_seq(n_terms)
+    """One engine job by family name; the other arguments are run_family's."""
     if family in FAMILIES:
         return run_family(FAMILIES[family], params, n_terms, oracle_depth, series_to)
     raise ValueError(f"unknown family {family!r}")

@@ -321,6 +321,16 @@ class TestExitCodes:
         assert f"{cached_271} does not parse, line {line}:" in r.stderr
         assert r.stdout == "1 0\n2 0\n3 1\n4 3\n5 16\n"
 
+    def test_oeis_unreadable_cache_is_5(self, cached_271):
+        cached_271.unlink()
+        cached_271.mkdir()
+        r = invoke("gen-der", "--shifts", "0,1", "-N", "3",
+                   "--oeis", "A000271", "--offline")
+        assert r.exit_code == EXIT_OEIS_UNVERIFIABLE
+        assert f"UNVERIFIABLE (0 terms compared) -- cannot read cached b-file {cached_271}: " \
+            in r.stderr
+        assert r.stdout == "1 0\n2 0\n3 1\n"
+
     def test_oeis_compares_reduced_terms_under_total(self, cached_271):
         r = invoke("gen-der", "--shifts", "0,1", "-N", "8", "--total",
                    "--oeis", "271", "--offline")

@@ -331,7 +331,7 @@ class TestPureStep:
         real = dpmod._Sweep.advance
 
         def twice(self, dist, blocked, **kw):
-            real(self, {m: dpmod._Run(p, p.first) for m, p in dist.items()}, blocked)
+            real(self, {m: dpmod._Run(p, p.first) for m, p in dist.items()}, blocked, **kw)
             return real(self, dist, blocked, **kw)
 
         monkeypatch.setattr(dpmod._Sweep, "advance", twice)
@@ -541,8 +541,8 @@ class TestLiveProfiles:
         return seen
 
     def check(self, tiles, board, n_max, monkeypatch) -> list[tuple[int, int]]:
-        """Checks the kept profiles of one sweep against a live=None
-        sweep; (kept, reached) profile counts per boundary."""
+        """Checks the kept profiles of one sweep against a sweep that
+        keeps every target; (kept, reached) profile counts per boundary."""
         columns = self.columns(tiles, board, n_max, monkeypatch)
         sweep = columns[0][0]
         drains: dict[tuple[int, int], bool] = {}
@@ -559,7 +559,8 @@ class TestLiveProfiles:
         counts = []
         for c, (_, blocked, kept) in enumerate(columns, 1):
             reached_before = set(full)
-            full = sweep.advance(full, blocked)
+            every = {m2 for mask in full for m2, *_ in sweep.column_table(mask, blocked)}
+            full = sweep.advance(full, blocked, live=every)
             for mask, run in kept.items():
                 assert can_drain(mask, c), (mask, c)
                 assert run.first == full[mask].first and run == full[mask], (mask, c)
@@ -770,8 +771,8 @@ class TestKernel:
                 assert p == table.poly(n)
 
     def test_normalized(self):
-        assert kernel2({0, 1}).normalized
-        assert kernel2({-1, 2}).normalized
+        assert kernel2({0, 1}).den[0].is_one()
+        assert kernel2({-1, 2}).den[0].is_one()
 
     def test_empty_shift_set(self):
         # no forbidden shifts: P_n = x^n, kernel 1/(1 - x X)

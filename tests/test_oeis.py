@@ -65,8 +65,11 @@ class TestParse:
 
     def test_format_roundtrip(self):
         rec = gen_der_seq({0}, 5)
-        text = format_bfile(rec, ("frozen", "for testing"))
-        assert text.startswith("# frozen\n# for testing\n")
+        text = format_bfile(rec)
+        assert text.startswith(
+            "# family=gen-der shifts=[0]\n"
+            f"# n=1..5 reduced=True provenance=engine engine=latinrect-{rec.engine_version}\n"
+        )
         assert parse_bfile(text) == dict(rec.indexed_terms())
 
 
@@ -153,6 +156,17 @@ class TestCache:
         with pytest.raises(OeisUnavailableError, match="not a b-file"):
             fetch_bfile("271")
         assert list(cache.iterdir()) == []
+
+    def test_download_the_cache_cannot_take_still_compares(self, tmp_path, monkeypatch):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        monkeypatch.setenv(CACHE_ENV_VAR, str(blocker / "oeis"))
+        monkeypatch.setattr(urllib.request, "urlopen",
+                            lambda url, timeout=0: FakeResponse(b"1 0\n2 0\n3 1\n"))
+        report = oeis_check(gen_der_seq({0, 1}, 3), "271")
+        assert (report.status, report.terms_compared) == (MATCH, 3)
+        assert list(tmp_path.iterdir()) == [blocker]
+        assert blocker.read_text() == "not a directory\n"
 
     def test_cached_file_that_does_not_parse_raises(self, cache):
         cache_path("271").write_text("<html>rate limited</html>\n")

@@ -329,7 +329,7 @@ class TestRationalKernel:
             assert p == (X - 1) ** n
 
     def test_normalized(self):
-        assert self.geometric().normalized
+        assert self.geometric().den[0].is_one()
 
     def test_eq_by_cross_multiplication(self):
         # (1 + X) / ((1 + X)(1 - (x-1) X)), stored apart from the geometric kernel

@@ -30,8 +30,10 @@ def traced_layers(args: tuple[str, ...]) -> dict[str, float]:
 
 
 def test_kernel_is_one_elimination():
-    # kernel2 solves for one unknown of the transfer system
-    assert traced_layers(("kernel", "--shifts", "0,1,-2"))["poly.bareiss_calls"] == 1
+    # kernel2 walks its transfer states, then solves for one unknown
+    layers = traced_layers(("kernel", "--shifts", "0,1,-2"))
+    assert layers["poly.bareiss_calls"] == 1
+    assert layers["dp.kernel_states"] > 0
 
 
 def test_glr3_reaches_sweep_umbra_and_oracle():
