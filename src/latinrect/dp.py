@@ -74,10 +74,19 @@ advance first takes each target profile's key span over the table
 rows that reach it and allocates its run once.  Applying a row then
 adds cf * (v << sd*B), for each value v of the source run, into the
 target's slice moved up by kd: one C-level slice update (a map over
-the slice) in place of one Python step per monomial.  The first row
-to reach a target finds it all zeros, so it stores its values without
-the add.  A slice update holds the old and the new values of its
-slice at once, so long runs go in parts of _CHUNK slots.
+the slice) in place of one Python step per monomial.  Each profile m
+carries a sign s(m) that the plan walk fixes: +1 for the empty
+profile, and for every newly reached profile the sign that makes its
+first reaching row positive.  A row applies cf * s(source) *
+s(target), so a profile's run holds s(m) times its polynomial.
+Snapshots read only the empty profile, whose sign is +1, and |cf|,
+hence B, is unchanged, so no P_n changes.  The first row applied to a
+target finds it all zeros and stores its values without the add, and
+advance applies first a row whose signed cf is 1 and whose sd is 0
+wherever one reaches the target: that store copies references to the
+source's ints and does no arithmetic.  On the 2-row sets {0,1} and
+{-2,0,3} every kept target has such a row, so a slot of a column
+costs the stores plus one add or subtract per further row.
 
 packed_snapshots keeps at boundary c only the profiles in live[c]:
 {0} at n_max, and before that each profile reached at c that is empty
@@ -181,10 +190,6 @@ class SeriesTable(Frozen):
         return self.first_n + len(self.polys) - 1
 
 
-#: most slots one slice update in advance touches
-_CHUNK = 128
-
-
 class _Run(list):
     """A profile's polynomial: the values at keys first, first + 1, ...,
     zeros included."""
@@ -237,13 +242,17 @@ class _Sweep:
             ops[row].append((bits, kd, p + self.stride * q, cf))
         self.ops_by_row = ops
         self._tables: dict[tuple[int, tuple[bool, ...]], list[tuple[int, int, int, int]]] = {}
-        self.bits, self.live = self._plan(board, n_max)
+        self.bits, self.live, self.sign = self._plan(board, n_max)
 
-    def _plan(self, board: BoardShape, n_max: int) -> tuple[int, list[frozenset[int]]]:
-        """The slot width B (0 on two rows) and live[c] for every boundary
-        c, from one walk over the column tables: forwards for B, then
-        back through the target sets it kept for live."""
+    def _plan(
+        self, board: BoardShape, n_max: int
+    ) -> tuple[int, list[frozenset[int]], dict[int, int]]:
+        """The slot width B (0 on two rows), live[c] for every boundary c
+        and the sign of every reached profile, from one walk over the
+        column tables: forwards for B and the signs, then back through
+        the target sets it kept for live."""
         bound = {0: 1}
+        sign = {0: 1}
         top = 1
         targets: dict[tuple[int, tuple[bool, ...]], frozenset[int]] = {}
         walked = []
@@ -254,6 +263,9 @@ class _Sweep:
                 if (mask, blocked) not in targets:
                     table = self.column_table(mask, blocked)
                     targets[mask, blocked] = frozenset(m2 for m2, *_ in table)
+                    # a profile's first reaching row comes out positive
+                    for m2, _, _, cf in table:
+                        sign.setdefault(m2, sign[mask] if cf > 0 else -sign[mask])
                 if self.k == 3:
                     for m2, _, _, cf in self.column_table(mask, blocked):
                         nxt[m2] = nxt.get(m2, 0) + abs(cf) * b
@@ -266,7 +278,7 @@ class _Sweep:
         for column in reversed(walked):
             live.append(frozenset([0, *(m for m, out in column if not live[-1].isdisjoint(out))]))
         # a sign bit, then whole bytes so unpack can slice the digits
-        return (-(-(top.bit_length() + 1) // 8) * 8 if self.k == 3 else 0), live[::-1]
+        return (-(-(top.bit_length() + 1) // 8) * 8 if self.k == 3 else 0), live[::-1], sign
 
     def column_table(
         self, mask0: int, blocked: tuple[bool, ...]
@@ -305,40 +317,49 @@ class _Sweep:
         *,
         live: frozenset[int],
     ) -> dict[int, _Run]:
-        """One column; only the target profiles in live are kept."""
-        rows = []
-        spans: dict[int, list[int]] = {}
+        """One column; only the target profiles in live are kept.  Each
+        row applies cf * sign(source) * sign(target), and each target's
+        first row is a store, a signed cf = 1 with sd = 0 where one
+        reaches it."""
+        sign = self.sign
+        # target -> [lo, hi, first row]; a row is (source run, lo, sd, cf)
+        spans: dict[int, list] = {}
+        rest = []
         for mask, run in dist.items():
             n = len(run)
-            parts = [(run[i:i + _CHUNK], run.first + i) for i in range(0, n, _CHUNK)]
+            sm = sign[mask]
             for m2, kd, sd, cf in self.column_table(mask, blocked):
                 if m2 not in live:
                     continue
                 lo = run.first + kd
+                row = (run, lo, sd, cf * sm * sign[m2])
                 span = spans.get(m2)
-                # the first row to reach a target finds it all zeros
-                rows.append((parts, m2, kd, sd, cf, span is None))
                 if span is None:
-                    spans[m2] = [lo, lo + n]
-                else:
-                    span[0] = min(span[0], lo)
-                    span[1] = max(span[1], lo + n)
-        ndist = {m2: _Run(repeat(0, hi - lo), lo) for m2, (lo, hi) in spans.items()}
+                    spans[m2] = [lo, lo + n, row]
+                    continue
+                span[0] = min(span[0], lo)
+                span[1] = max(span[1], lo + n)
+                if row[2:] == (0, 1) and span[2][2:] != (0, 1):
+                    row, span[2] = span[2], row  # a store goes first
+                rest.append((m2, row))
         bits = self.bits
-        for parts, m2, kd, sd, cf, fresh in rows:
+        ndist = {}
+        for m2, (lo, hi, (run, at, sd, cf)) in spans.items():
+            # the first row finds its target all zeros, so it stores
+            tgt = ndist[m2] = _Run(repeat(0, hi - lo), lo)
+            src = map(lshift, run, repeat(sd * bits)) if sd else run
+            tgt[at - lo:at - lo + len(run)] = src if cf == 1 else map(mul, src, repeat(cf))
+        for m2, (run, at, sd, cf) in rest:
             tgt = ndist[m2]
-            for part, first in parts:
-                a = first + kd - tgt.first
-                b = a + len(part)
-                src = map(lshift, part, repeat(sd * bits)) if sd else part
-                if fresh:
-                    tgt[a:b] = src if cf == 1 else map(mul, src, repeat(cf))
-                elif cf == 1:
-                    tgt[a:b] = map(add, tgt[a:b], src)
-                elif cf == -1:
-                    tgt[a:b] = map(sub, tgt[a:b], src)
-                else:
-                    tgt[a:b] = map(add, tgt[a:b], map(mul, src, repeat(cf)))
+            a = at - tgt.first
+            b = a + len(run)
+            src = map(lshift, run, repeat(sd * bits)) if sd else run
+            if cf == 1:
+                tgt[a:b] = map(add, tgt[a:b], src)
+            elif cf == -1:
+                tgt[a:b] = map(sub, tgt[a:b], src)
+            else:
+                tgt[a:b] = map(add, tgt[a:b], map(mul, src, repeat(cf)))
         return ndist
 
     def unpack(

@@ -26,9 +26,13 @@ Each operator is one evaluator, which reads P_n either as a
 WeightPolynomial or straight from the sweep's dp.Snapshot, the form
 run_family passes, so no term dict is built between sweep and count.
 On two rows the snapshot is a dense run of coefficients c_first,
-c_first+1, ..., and the sum of c_k * k! is taken in Horner form
-first! * (c_first + (first+1)*(c_first+1 + (first+2)*(...))), big
-times small integers only.  On three rows both operators are one
+c_first+1, ..., padded with zeros to start at x^0, and the sum of
+c_k * k! is taken by binary splitting (Haible and Papanikolaou, ANTS
+1998).  A block of slots starting at a holds the sum of c_k * k!/a!
+over its slots k, and level l merges neighbouring blocks of h = 2^l
+slots as left + right * (a+h)!/a!.  Those products depend only on the
+position, so one table serves every run; it grows on demand like the
+factorial table.  On three rows both operators are one
 formula in m = n - a1 - a23 and the row shortfalls (s2, s3), (0, 0)
 on rectangles and (1, 2) on trapezoids: with a2 + s2 = m + p and
 a3 + s3 = m + q, the term c * x1^a1 x2^a2 x3^a3 x23^a23 counts
@@ -46,7 +50,7 @@ from __future__ import annotations
 
 import enum
 import math
-from operator import mul
+from operator import add, mul
 from typing import TYPE_CHECKING
 
 from .poly import RING_2ROW, RING_3ROW, RingMismatchError, WeightPolynomial
@@ -79,9 +83,30 @@ def factorial_table(n_max: int) -> tuple[int, ...]:
     return table[: n_max + 1]
 
 
+#: _lefts[l][j] = (a + 2^l)!/a! at a = j * 2^(l+1): the product of k
+#: over the left half of the j-th pair the tree merges at level l
+_lefts: tuple[list[int], ...] = ()
+
+
+def _left_products(size: int) -> tuple[list[int], ...]:
+    """Every level of _lefts, grown first if its 2^len(_lefts) slots
+    cannot hold slots 0..size-1, to the next power of two."""
+    global _lefts
+    if size > 1 << len(_lefts):
+        cap = 1 << (size - 1).bit_length()
+        blocks = list(range(1, cap + 1))  # (k + 1)!/k! for the block at k
+        lefts = []
+        while len(blocks) > 1:
+            lefts.append(blocks[0::2])
+            blocks = list(map(mul, blocks[0::2], blocks[1::2]))
+        # rebound whole, so a reader never sees a partly grown table
+        _lefts = tuple(lefts)
+    return _lefts
+
+
 def umbral_eval_2row(p: WeightPolynomial | Snapshot) -> int:
-    """Sum of c_k * k! over p's terms c_k * x^k, in Horner form down
-    p's dense run of coefficients."""
+    """Sum of c_k * k! over p's terms c_k * x^k, by a product tree over
+    p's dense run of coefficients, padded to start at x^0."""
     if isinstance(p, WeightPolynomial):
         if p.ring != RING_2ROW:
             raise RingMismatchError(f"expected ring {RING_2ROW.variables!r}")
@@ -90,11 +115,16 @@ def umbral_eval_2row(p: WeightPolynomial | Snapshot) -> int:
         first, values = p.dense_run()
     if not values:
         return 0
-    # c_first + (first+1)*(c_first+1 + (first+2)*(...)), times first!
-    acc = 0
-    for k, c in zip(range(first + len(values) - 1, first, -1), reversed(values)):
-        acc = (acc + c) * k
-    return (acc + values[0]) * math.factorial(first)
+    v = [0] * first
+    v += values
+    # level l: block j holds sum of c_k * k!/a! over its slots k >= a = j*2^l
+    for left in _left_products(len(v)):
+        if len(v) == 1:
+            break
+        tail = v[-1:] if len(v) % 2 else []  # a left block with no right one
+        v = list(map(add, v[0::2], map(mul, left, v[1::2])))
+        v += tail
+    return v[0]
 
 
 def _key_groups(p: WeightPolynomial, n: int, s2: int, s3: int) -> list:

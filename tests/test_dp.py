@@ -612,6 +612,42 @@ class TestLiveProfiles:
         self.check(tiles, rectangle(3), 5, monkeypatch)
 
 
+class TestProfileSigns:
+    """Each profile's run holds sign(profile) times its polynomial, the
+    empty profile's sign is +1, and the plan picks the signs so that a
+    target's first row can be a store: a signed cf = 1 with sd = 0."""
+
+    @pytest.mark.parametrize("shifts", [{0, 1}, {-2, 0, 3}], ids=["0,1", "-2,0,3"])
+    def test_every_kept_target_has_a_store_row(self, shifts, monkeypatch):
+        tiles = enumerate_tiles(ShiftSpec.two_rows(shifts))
+        columns = TestLiveProfiles.columns(tiles, rectangle(2), 40, monkeypatch)
+        sweep = columns[0][0]
+        sign = sweep.sign
+        sources = {0}
+        for c, (_, blocked, kept) in enumerate(columns, 1):
+            for m2 in kept:
+                assert any(t == m2 and sd == 0 and cf * sign[mask] * sign[m2] == 1
+                           for mask in sources
+                           for t, _, sd, cf in sweep.column_table(mask, blocked)), (m2, c)
+            sources = set(kept)
+        assert -1 in sign.values()
+
+    def test_snapshots_match_reference(self, monkeypatch):
+        """On random 2-row sets and 3-row specs on both boards, with
+        negative signs in most sweeps and the empty profile's always +1."""
+        built = built_sweeps(monkeypatch)
+        for spec in random_three_row_specs(1729, 8):
+            TestPackedSweep.check(spec, rectangle(3), 6)
+            TestPackedSweep.check(spec, trapezoid3(), 7)
+        rng = random.Random(1729)
+        for _ in range(8):
+            shifts = {s for s in range(-3, 4) if rng.random() < 0.4}
+            TestPackedSweep.check(ShiftSpec.two_rows(shifts), rectangle(2), 12)
+        assert len(built) == 24
+        assert all(s.sign[0] == 1 for s in built)
+        assert sum(-1 in s.sign.values() for s in built) >= 16
+
+
 class TestBalancedDigits:
     @staticmethod
     def pack(digits: dict[int, int], bits: int) -> int:

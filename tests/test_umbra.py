@@ -8,7 +8,10 @@ import random
 
 import pytest
 
+import latinrect.umbra as umbra
+from latinrect.dp import Snapshot, _Run, _Sweep, rectangle
 from latinrect.poly import RING_2ROW, RING_3ROW
+from latinrect.tiles import ShiftSpec, enumerate_tiles
 from latinrect.umbra import (
     UmbralKind,
     factorial_table,
@@ -91,8 +94,8 @@ class TestThreeRow:
 
 
 class TestHorner:
-    """The Horner form of the 2-row operator against the plain sum of
-    c_k * k!."""
+    """The 2-row operator's product tree, fed WeightPolynomials that
+    start at x^0, against the plain sum of c_k * k!."""
 
     @staticmethod
     def plain(p):
@@ -119,6 +122,51 @@ class TestHorner:
                     terms[(k,)] = rng.choice((1, -1)) * rng.getrandbits(bits)
             p = RING_2ROW.poly(terms)
             assert umbral_eval_2row(p) == self.plain(p)
+
+
+class TestTwoRowSnapshot:
+    """The 2-row operator on a dp.Snapshot, the form run_family passes:
+    runs that start at x^first, against the plain sum of c_k * k!."""
+
+    SWEEP = _Sweep(enumerate_tiles(ShiftSpec.two_rows(set())), rectangle(2), 0)
+
+    def count(self, first: int, cs: list[int]) -> int:
+        return umbral_eval_2row(Snapshot(self.SWEEP, _Run(cs, first), (0, 0)))
+
+    @staticmethod
+    def plain(first: int, cs: list[int]) -> int:
+        fact, total = math.factorial(first), 0
+        for k, c in enumerate(cs, first):
+            total += c * fact
+            fact *= k + 1
+        return total
+
+    def test_runs_against_plain_sum(self):
+        rng = random.Random(3001)
+        lengths = {0, 1, 2, 3, 1100}
+        lengths |= {(1 << j) + d for j in range(1, 11) for d in (-1, 0, 1)}
+        # interleaved, so the shared product table is read after it grew
+        cases = [(first, n) for first in (0, 1, 5, 37) for n in sorted(lengths)]
+        rng.shuffle(cases)
+        for first, n in cases:
+            cs = [rng.choice((1, -1)) * rng.getrandbits(rng.randrange(1, 400))
+                  for _ in range(n)]
+            assert self.count(first, cs) == self.plain(first, cs), (first, n)
+
+    def test_table_is_shared_by_every_first(self):
+        """The product table is indexed by absolute k: a run that starts
+        at x^first reads the levels a run from x^0 built, and only a run
+        reaching past the table's capacity grows it."""
+        self.count(0, [1] * 1100)
+        table = umbra._lefts
+        cap = 1 << len(table)
+        for first in (1, 5, 37, 600):
+            for n in (1, 2, 300, cap - first):
+                cs = [k - n // 2 for k in range(n)]
+                assert self.count(first, cs) == self.plain(first, cs)
+                assert umbra._lefts is table
+        self.count(cap, [1])
+        assert len(umbra._lefts) == len(table) + 1
 
 
 class TestThreeRowShortfalls:

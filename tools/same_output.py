@@ -28,8 +28,10 @@ so its P_n check the live-profile prune where it removes the most.
 The LONG_COUNTS jobs print counts only, on inputs where counting
 straight from the packed sweep does most of the work and no workload
 reaches: Latin {0}^3 to N=40, where decoding and evaluating the
-packed snapshots take about 90% of the run, and the 2-row set {5},
-whose runs start above x^0.
+packed snapshots take about 90% of the run, and the 2-row sets {5} and
+{7}, whose runs start above x^0.  The long 2-row counts, {0,1} to
+N=1000, {-2,0,3} to N=400 and {7} to N=200, compare the signed sweep
+and the product-tree umbral sum on runs of hundreds of slots.
 One small job per engine command also runs with `--total` and with
 `--dump-tiles`.  The USAGE_ERRORS are usage errors (exit 2): two
 requests past an oracle cap, and the lines the parser itself rejects
@@ -88,6 +90,9 @@ LONG_DUMPS = (
 LONG_COUNTS = (
     ("glr3", "--s12", "0", "--s13", "0", "--s23", "0", "-N", "40"),
     ("gen-der", "--shifts", "5", "-N", "12"),
+    ("gen-der", "--shifts", "0,1", "-N", "1000"),
+    ("gen-der", "--shifts", "-2,0,3", "-N", "400"),
+    ("gen-der", "--shifts", "7", "-N", "200"),
 )
 FLAG_JOBS = (
     ("gen-der", "--shifts", "0,1", "-N", "12"),
