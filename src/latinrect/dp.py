@@ -97,10 +97,12 @@ in a sweep that keeps every target, and every P_n is unchanged: the
 prune skips only runs no snapshot reads, most of them near the end
 (super-Latin keeps 62, then 8 of its 203 profiles).
 
-The slot width B is a proven bound.  A coefficient of profile m after
-c columns is a sum, over paths of column-table rows from the empty
-profile, of the products of their cf, so its absolute value is at
-most beta_c(m), where beta_0 is 1 at the empty profile and
+The slot width B is a proven bound on both ring sizes, and only the
+3-row packing reads it: on two rows every slot delta is 0, so advance
+never shifts by B.  A coefficient of profile m after c columns is a
+sum, over paths of column-table rows from the empty profile, of the
+products of their cf, so its absolute value is at most beta_c(m),
+where beta_0 is 1 at the empty profile and
 beta_{c+1}(m2) = sum of |cf| * beta_c(m) over table rows m -> m2.
 With 2^(B-1) > max beta over all columns and profiles, every digit
 satisfies |c| < 2^(B-1), and such signed digits are unique for a
@@ -247,10 +249,10 @@ class _Sweep:
     def _plan(
         self, board: BoardShape, n_max: int
     ) -> tuple[int, list[frozenset[int]], dict[int, int]]:
-        """The slot width B (0 on two rows), live[c] for every boundary c
-        and the sign of every reached profile, from one walk over the
-        column tables: forwards for B and the signs, then back through
-        the target sets it kept for live."""
+        """The slot width B, live[c] for every boundary c and the sign
+        of every reached profile, from one walk over the column tables
+        on either ring size: forwards for B and the signs, then back
+        through the target sets it kept for live."""
         bound = {0: 1}
         sign = {0: 1}
         top = 1
@@ -260,17 +262,14 @@ class _Sweep:
             blocked = board.blocked_flags(column)
             nxt: dict[int, int] = {}
             for mask, b in bound.items():
+                table = self.column_table(mask, blocked)
                 if (mask, blocked) not in targets:
-                    table = self.column_table(mask, blocked)
                     targets[mask, blocked] = frozenset(m2 for m2, *_ in table)
                     # a profile's first reaching row comes out positive
                     for m2, _, _, cf in table:
                         sign.setdefault(m2, sign[mask] if cf > 0 else -sign[mask])
-                if self.k == 3:
-                    for m2, _, _, cf in self.column_table(mask, blocked):
-                        nxt[m2] = nxt.get(m2, 0) + abs(cf) * b
-                else:  # no slots to bound: only the reached set
-                    nxt.update(dict.fromkeys(targets[mask, blocked], 1))
+                for m2, _, _, cf in table:
+                    nxt[m2] = nxt.get(m2, 0) + abs(cf) * b
             walked.append([(m, targets[m, blocked]) for m in bound])
             bound = nxt
             top = max(top, max(bound.values(), default=0))
@@ -278,7 +277,7 @@ class _Sweep:
         for column in reversed(walked):
             live.append(frozenset([0, *(m for m, out in column if not live[-1].isdisjoint(out))]))
         # a sign bit, then whole bytes so unpack can slice the digits
-        return (-(-(top.bit_length() + 1) // 8) * 8 if self.k == 3 else 0), live[::-1], sign
+        return -(-(top.bit_length() + 1) // 8) * 8, live[::-1], sign
 
     def column_table(
         self, mask0: int, blocked: tuple[bool, ...]
@@ -366,13 +365,12 @@ class _Sweep:
         self, packed: _Run, row_lengths: tuple[int, ...]
     ) -> WeightPolynomial:
         """The polynomial of a snapshot's empty profile on a board whose
-        rows have these lengths.  Zero coefficients are dropped here and
-        the exponents are non-negative by exact cover, so the terms need
-        no re-validation."""
+        rows have these lengths.  WeightPolynomial drops the zero
+        coefficients and checks every exponent, which exact cover keeps
+        non-negative."""
         if self.k == 2:
-            return WeightPolynomial.trusted(
-                self.ring, {(x,): c for x, c in enumerate(packed, packed.first) if c}
-            )
+            terms = {(x,): c for x, c in enumerate(packed, packed.first)}
+            return WeightPolynomial(self.ring, terms)
         _, cells1, cells2 = row_lengths
         terms = {}
         for a1, a23, rows in self.key_groups(packed):
@@ -380,9 +378,8 @@ class _Sweep:
             row1, row2 = cells1 - a23 - a1, cells2 - a23 - a1
             for q, p, cs in rows:
                 for a2, c in enumerate(cs, row1 + p):
-                    if c:
-                        terms[a1, a2, row2 + q, a23] = c
-        return WeightPolynomial.trusted(self.ring, terms)
+                    terms[a1, a2, row2 + q, a23] = c
+        return WeightPolynomial(self.ring, terms)
 
     def key_groups(self, packed: _Run) -> Iterator[tuple[int, int, Iterator[_Row]]]:
         """(a1, a23, rows) for each nonzero key of a 3-row run.  rows

@@ -128,14 +128,6 @@ class WeightPolynomial:
         self.ring = ring
         self._terms = clean
 
-    @classmethod
-    def trusted(cls, ring: PolyRing, terms: dict) -> "WeightPolynomial":
-        """Adopt terms known clean (nonzero coefficients, non-negative
-        exponent tuples of length ring.nvars): no check, no copy."""
-        p = cls.__new__(cls)
-        p.ring, p._terms = ring, terms
-        return p
-
     # -- inspection ----------------------------------------------------
 
     def terms(self) -> list[tuple[tuple[int, ...], int]]:
@@ -340,9 +332,8 @@ def _digits(key: int, stride: int, nvars: int) -> list[int]:
 
 
 def _decode(keys: dict[int, int], ring: PolyRing, stride: int) -> WeightPolynomial:
-    return WeightPolynomial.trusted(
-        ring, {tuple(_digits(k, stride, ring.nvars)): c for k, c in keys.items()}
-    )
+    terms = {tuple(_digits(k, stride, ring.nvars)): c for k, c in keys.items()}
+    return WeightPolynomial(ring, terms)
 
 
 def _cross(p: dict, a: dict, f: dict, b: dict) -> dict[int, int]:

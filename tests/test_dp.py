@@ -248,11 +248,11 @@ def unit_weight(tiles: Sequence[Tile]) -> list[Tile]:
 
 class TestUnpack:
     def test_fast_unpack_matches_validating_constructor(self, monkeypatch):
-        """unpack finds the nonzero slots in bulk and skips
-        WeightPolynomial's per-term check; decoding every slot one by
-        one into the checking constructor must give the same
-        polynomial for each snapshot of a 2-row, 3-row and mirrored
-        trapezoid sweep, in the slot layout the tiles call for."""
+        """unpack finds the nonzero slots in bulk before WeightPolynomial
+        checks the terms; decoding every slot one by one into the
+        checking constructor must give the same polynomial for each
+        snapshot of a 2-row, 3-row and mirrored trapezoid sweep, in the
+        slot layout the tiles call for."""
         real = dpmod._Sweep.unpack
         seen = []
         by_class = False
@@ -494,9 +494,13 @@ class TestSlotLayout:
 
 
 class TestSlotBound:
-    def test_slot_width_exceeds_every_coefficient(self, monkeypatch):
-        """B covers each snapshot coefficient with a bit to spare for
-        the sign, on the boards and specs the sweep actually ran."""
+    """B covers each snapshot coefficient with a bit to spare for the
+    sign, on the boards and specs the sweep actually ran."""
+
+    @staticmethod
+    def bounded(monkeypatch) -> list[int]:
+        """Patches unpack to check each snapshot against B; the term
+        count of each snapshot checked."""
         real = dpmod._Sweep.unpack
         checked = []
 
@@ -508,12 +512,24 @@ class TestSlotBound:
             return p
 
         monkeypatch.setattr(dpmod._Sweep, "unpack", bounded)
+        return checked
+
+    def test_slot_width_exceeds_every_coefficient(self, monkeypatch):
+        checked = self.bounded(monkeypatch)
         for spec in random_three_row_specs(77, 12):
             weight_series(enumerate_tiles(spec), rectangle(3), 6)
             weight_series(enumerate_tiles(spec), trapezoid3(), 6)
         super_latin = ShiftSpec.three_rows({-1, 0, 1}, {-2, 0, 2}, {-1, 0, 1})
         weight_series(enumerate_tiles(super_latin), rectangle(3), 9)
         assert len(checked) == 12 * (7 + 4) + 10 and sum(checked) > 0
+
+    @pytest.mark.parametrize("shifts,n_max", [({0, 1}, 200), ({-2, 0, 3}, 60), ({7}, 40)],
+                             ids=["0,1", "-2,0,3", "7"])
+    def test_two_row_slot_width(self, shifts, n_max, monkeypatch):
+        """Two rows never shift by B, but the plan proves it all the same."""
+        checked = self.bounded(monkeypatch)
+        weight_series(enumerate_tiles(ShiftSpec.two_rows(shifts)), rectangle(2), n_max)
+        assert len(checked) == n_max + 1 and sum(checked) > 0
 
 
 class TestLiveProfiles:
@@ -617,7 +633,10 @@ class TestProfileSigns:
     empty profile's sign is +1, and the plan picks the signs so that a
     target's first row can be a store: a signed cf = 1 with sd = 0."""
 
-    @pytest.mark.parametrize("shifts", [{0, 1}, {-2, 0, 3}], ids=["0,1", "-2,0,3"])
+    @pytest.mark.parametrize(
+        "shifts",
+        [{0, 1}, {-2, 0, 3}, {7}, {5}, {-1, 0, 1}, {0, 1, 2, 3, 4}, {-3, -1, 2}, {1, 5}],
+        ids=["0,1", "-2,0,3", "7", "5", "-1,0,1", "0,1,2,3,4", "-3,-1,2", "1,5"])
     def test_every_kept_target_has_a_store_row(self, shifts, monkeypatch):
         tiles = enumerate_tiles(ShiftSpec.two_rows(shifts))
         columns = TestLiveProfiles.columns(tiles, rectangle(2), 40, monkeypatch)

@@ -1,9 +1,10 @@
 """Property tests over random shift specs: the engine against the
 brute-force oracle, S/-S mirror symmetry, the one-pass mirrored
 trapezoid sweep against a sweep of each unmirrored board on its own,
-the glr3 oracle under a swap of rows 1 and 2,
-the 2-row sweep against its rational kernel, and exact-cover counts
-against tiling enumeration.
+the glr3 oracle under a swap of rows 1 and 2, 3-row engine counts
+across the twelve row-order and mirror images of a spec, past brute
+force, the 2-row sweep against its rational kernel, and exact-cover
+counts against tiling enumeration.
 
 Examples are derandomized and not stored, so the run is repeatable and
 writes nothing."""
@@ -17,7 +18,7 @@ from latinrect.dp import kernel2, rectangle, trapezoid3, weight_snapshots
 from latinrect.sequences import gen_der_seq, glr3_seq
 from latinrect.tiles import UNIT_WEIGHT, ShiftSpec, Tile, enumerate_tiles
 from test_dp import ReferenceSweep
-from witnesses import mirrored
+from witnesses import images, mirrored
 
 N_MAX = 5
 
@@ -98,3 +99,36 @@ def test_glr3_oracle_row_swap(spec):
     for n in range(1, N_MAX + 1):
         assert oracle.count_glr3(spec.s12, spec.s13, spec.s23, n) == oracle.count_glr3(
             spec.s13, spec.s12, {-s for s in spec.s23}, n), (spec.describe(), n)
+
+
+def image_terms(spec: ShiftSpec, n_terms: int) -> dict[ShiftSpec, list[int]]:
+    """Engine terms, oracle off, of each distinct image of spec."""
+    return {image: glr3_seq(image.s12, image.s13, image.s23, n_terms, oracle_depth=0).terms
+            for image in dict.fromkeys(images(spec))}
+
+
+@settings(PROPERTY, max_examples=10)
+@given(three_row_specs)
+def test_three_row_counts_agree_across_images(spec):
+    # unlike the mirror and the 1<->2 swap, most images move row 0, the
+    # row that carries x1, the key's a1 and the operator's C(n - a1, a23)
+    terms = image_terms(spec, 8)
+    assert len(set(map(tuple, terms.values()))) == 1, (spec.describe(), terms)
+
+
+def test_super_latin_images_to_16():
+    terms = image_terms(ShiftSpec.three_rows({-1, 0, 1}, {-2, 0, 2}, {-1, 0, 1}), 16)
+    assert len(terms) == 3 and len(set(map(tuple, terms.values()))) == 1
+
+
+def test_row_0_images_to_14():
+    """The spec and the four images that move another row to row 0."""
+    spec = ShiftSpec.three_rows({0, 1}, {-2}, {0, 3})
+    # images() takes the row orders as permutations() lists them, so the
+    # first four images keep row 0, and every second one is a mirror
+    moved = images(spec)[4::2]
+    assert len(set(moved)) == 4 and spec not in moved
+    want = glr3_seq(spec.s12, spec.s13, spec.s23, 14, oracle_depth=0).terms
+    for image in moved:
+        assert glr3_seq(image.s12, image.s13, image.s23, 14, oracle_depth=0).terms == want, \
+            image.describe()

@@ -12,6 +12,7 @@ differ while their counts agree."""
 
 from __future__ import annotations
 
+from itertools import permutations
 from typing import Iterable, Iterator, Sequence
 
 from latinrect.oracle import (
@@ -197,3 +198,20 @@ def mirrored(spec: ShiftSpec) -> ShiftSpec:
         s13=frozenset(-s for s in spec.s13),
         s23=frozenset(-s for s in spec.s23),
     )
+
+
+def images(spec: ShiftSpec) -> list[ShiftSpec]:
+    """The twelve images of a 3-row spec, repeats included: each of the
+    six row orders, then its mirror.  Every constraint compares two
+    rows in one column, so moving row tau(k) to row k and re-reducing
+    keeps the count; the new sets are s'_kl = s_tau(k)tau(l), where
+    s_lk = -s_kl.  The identity order comes first."""
+
+    def pair(k: int, l: int) -> frozenset[int]:
+        return spec.pair_set(k, l) if k < l else frozenset(-s for s in spec.pair_set(l, k))
+
+    out = []
+    for t in permutations(range(3)):
+        image = ShiftSpec.three_rows(pair(t[0], t[1]), pair(t[0], t[2]), pair(t[1], t[2]))
+        out += [image, mirrored(image)]
+    return out
