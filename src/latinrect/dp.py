@@ -77,8 +77,9 @@ target's slice moved up by kd: one C-level slice update (a map over
 the slice) in place of one Python step per monomial.  Each profile m
 carries a sign s(m) that the plan walk fixes: +1 for the empty
 profile, and for every newly reached profile the sign that makes its
-first reaching row positive.  A row applies cf * s(source) *
-s(target), so a profile's run holds s(m) times its polynomial.
+first reaching row positive.  The walk stores each row of a table it
+meets as cf * s(source) * s(target), once, so a profile's run holds
+s(m) times its polynomial and advance applies the rows as stored.
 Snapshots read only the empty profile, whose sign is +1, and |cf|,
 hence B, is unchanged, so no P_n changes.  The first row applied to a
 target finds it all zeros and stores its values without the add, and
@@ -244,15 +245,15 @@ class _Sweep:
             ops[row].append((bits, kd, p + self.stride * q, cf))
         self.ops_by_row = ops
         self._tables: dict[tuple[int, tuple[bool, ...]], list[tuple[int, int, int, int]]] = {}
-        self.bits, self.live, self.sign = self._plan(board, n_max)
+        self.bits, self.live = self._plan(board, n_max)
 
-    def _plan(
-        self, board: BoardShape, n_max: int
-    ) -> tuple[int, list[frozenset[int]], dict[int, int]]:
-        """The slot width B, live[c] for every boundary c and the sign
-        of every reached profile, from one walk over the column tables
-        on either ring size: forwards for B and the signs, then back
-        through the target sets it kept for live."""
+    def _plan(self, board: BoardShape, n_max: int) -> tuple[int, list[frozenset[int]]]:
+        """The slot width B and live[c] for every boundary c, from one
+        walk over the column tables on either ring size: forwards for B,
+        then back through the target sets it kept for live.  The first
+        time the walk meets a table it fixes the sign s(m2) of each
+        newly reached target and stores each row's cf as
+        cf * s(mask) * s(m2)."""
         bound = {0: 1}
         sign = {0: 1}
         top = 1
@@ -266,8 +267,9 @@ class _Sweep:
                 if (mask, blocked) not in targets:
                     targets[mask, blocked] = frozenset(m2 for m2, *_ in table)
                     # a profile's first reaching row comes out positive
-                    for m2, _, _, cf in table:
-                        sign.setdefault(m2, sign[mask] if cf > 0 else -sign[mask])
+                    sm = sign[mask]
+                    table[:] = [(m2, kd, sd, cf * sm * sign.setdefault(m2, sm if cf > 0 else -sm))
+                                for m2, kd, sd, cf in table]
                 for m2, _, _, cf in table:
                     nxt[m2] = nxt.get(m2, 0) + abs(cf) * b
             walked.append([(m, targets[m, blocked]) for m in bound])
@@ -277,12 +279,14 @@ class _Sweep:
         for column in reversed(walked):
             live.append(frozenset([0, *(m for m, out in column if not live[-1].isdisjoint(out))]))
         # a sign bit, then whole bytes so unpack can slice the digits
-        return -(-(top.bit_length() + 1) // 8) * 8, live[::-1], sign
+        return -(-(top.bit_length() + 1) // 8) * 8, live[::-1]
 
     def column_table(
         self, mask0: int, blocked: tuple[bool, ...]
     ) -> list[tuple[int, int, int, int]]:
-        """(next profile, key delta, slot delta, coefficient) rows."""
+        """(next profile, key delta, slot delta, coefficient) rows,
+        cached; once the plan has walked a table, each coefficient is
+        cf * s(mask0) * s(next profile)."""
         key = (mask0, blocked)
         hit = self._tables.get(key)
         if hit is not None:
@@ -317,21 +321,19 @@ class _Sweep:
         live: frozenset[int],
     ) -> dict[int, _Run]:
         """One column; only the target profiles in live are kept.  Each
-        row applies cf * sign(source) * sign(target), and each target's
-        first row is a store, a signed cf = 1 with sd = 0 where one
+        source's rows are the signed ones its plan stored, and each
+        target's first row is a store, a cf = 1 with sd = 0 where one
         reaches it."""
-        sign = self.sign
         # target -> [lo, hi, first row]; a row is (source run, lo, sd, cf)
         spans: dict[int, list] = {}
         rest = []
         for mask, run in dist.items():
             n = len(run)
-            sm = sign[mask]
-            for m2, kd, sd, cf in self.column_table(mask, blocked):
+            for m2, kd, sd, cf in self._tables[mask, blocked]:
                 if m2 not in live:
                     continue
                 lo = run.first + kd
-                row = (run, lo, sd, cf * sm * sign[m2])
+                row = (run, lo, sd, cf)
                 span = spans.get(m2)
                 if span is None:
                     spans[m2] = [lo, lo + n, row]

@@ -22,6 +22,7 @@ class SequenceRecord(Frozen):
 
     __slots__ = ("family", "params", "offset", "terms", "reduced", "provenance",
                  "engine_version", "duration_seconds", "series")
+    _defaults = {"reduced": True, "engine_version": ENGINE_VERSION}
 
     def _values(self) -> tuple:
         return super()._values()[:-1]  # all but series
@@ -72,9 +73,7 @@ def triangle_seq(n_terms: int) -> SequenceRecord:
         params={},
         offset=3,
         terms=terms,
-        reduced=True,
         provenance="oracle",
-        engine_version=ENGINE_VERSION,
         duration_seconds=time.perf_counter() - t0,
         series={},
     )

@@ -15,7 +15,6 @@ from __future__ import annotations
 import time
 from typing import Iterable, Mapping
 
-from . import __version__ as ENGINE_VERSION
 from . import oracle, umbra
 from .dp import packed_snapshots, rectangle, trapezoid3
 from .frozen import Frozen
@@ -122,9 +121,7 @@ def run_family(
         params=params,
         offset=first,
         terms=terms,
-        reduced=True,
         provenance="engine",
-        engine_version=ENGINE_VERSION,
         duration_seconds=time.perf_counter() - t0,
         series=series,
     )

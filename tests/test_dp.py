@@ -5,6 +5,7 @@ umbral evaluation happens."""
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -628,10 +629,33 @@ class TestLiveProfiles:
         self.check(tiles, rectangle(3), 5, monkeypatch)
 
 
+def planned_signs(sweep) -> dict[int, int]:
+    """s(m) for every profile the plan of sweep reached, checked to be a
+    diagonal change of basis: each table the plan walked equals the
+    same table built afresh, unplanned, row for row, with cf times
+    s(source) * s(target), one sign per profile and s(0) = +1.  A sweep
+    planned for no column would not do: on three rows its key deltas
+    depend on n_max."""
+    plain = copy.copy(sweep)
+    plain._tables = {}
+    sign = {0: 1}
+    # the plan walks a table only after one that reaches its source
+    for (mask, blocked), table in sweep._tables.items():
+        rows = plain.column_table(mask, blocked)
+        assert [r[:3] for r in table] == [r[:3] for r in rows], (mask, blocked)
+        for (m2, _, _, cf), (*_, cf0) in zip(table, rows):
+            assert abs(cf) == abs(cf0), (mask, m2, blocked)
+            s = sign[mask] * (cf // cf0)
+            assert sign.setdefault(m2, s) == s, (mask, m2, blocked)
+    return sign
+
+
 class TestProfileSigns:
-    """Each profile's run holds sign(profile) times its polynomial, the
-    empty profile's sign is +1, and the plan picks the signs so that a
-    target's first row can be a store: a signed cf = 1 with sd = 0."""
+    """The plan stores each row of a table as cf * s(source) *
+    s(target), so each profile's run holds s(profile) times its
+    polynomial; the empty profile's sign is +1, and the plan picks the
+    signs so that a target's first row can be a store: cf = 1 with sd =
+    0 in the planned table."""
 
     @pytest.mark.parametrize(
         "shifts",
@@ -641,15 +665,14 @@ class TestProfileSigns:
         tiles = enumerate_tiles(ShiftSpec.two_rows(shifts))
         columns = TestLiveProfiles.columns(tiles, rectangle(2), 40, monkeypatch)
         sweep = columns[0][0]
-        sign = sweep.sign
         sources = {0}
         for c, (_, blocked, kept) in enumerate(columns, 1):
             for m2 in kept:
-                assert any(t == m2 and sd == 0 and cf * sign[mask] * sign[m2] == 1
+                assert any(t == m2 and sd == 0 and cf == 1
                            for mask in sources
                            for t, _, sd, cf in sweep.column_table(mask, blocked)), (m2, c)
             sources = set(kept)
-        assert -1 in sign.values()
+        assert -1 in planned_signs(sweep).values()
 
     def test_snapshots_match_reference(self, monkeypatch):
         """On random 2-row sets and 3-row specs on both boards, with
@@ -663,8 +686,23 @@ class TestProfileSigns:
             shifts = {s for s in range(-3, 4) if rng.random() < 0.4}
             TestPackedSweep.check(ShiftSpec.two_rows(shifts), rectangle(2), 12)
         assert len(built) == 24
-        assert all(s.sign[0] == 1 for s in built)
-        assert sum(-1 in s.sign.values() for s in built) >= 16
+        assert sum(-1 in planned_signs(s).values() for s in built) >= 16
+
+    def test_planned_tables_change_basis_diagonally(self):
+        """The plan signs every table it walks exactly once, by one sign
+        per profile, on 3-row specs on both boards and 2-row sets, past
+        the sizes a reference sweep can check."""
+        negative = 0
+        for spec in random_three_row_specs(577, 20):
+            tiles = enumerate_tiles(spec)
+            for board in (rectangle(3), trapezoid3()):
+                negative += -1 in planned_signs(dpmod._Sweep(tiles, board, 12)).values()
+        rng = random.Random(577)
+        for _ in range(20):
+            tiles = enumerate_tiles(ShiftSpec.two_rows(
+                {s for s in range(-3, 4) if rng.random() < 0.4}))
+            negative += -1 in planned_signs(dpmod._Sweep(tiles, rectangle(2), 40)).values()
+        assert negative >= 50
 
 
 class TestBalancedDigits:

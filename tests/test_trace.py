@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 #: prefix of the tracer's one stderr report line
 TRACE_MARK = "@@latinrect-trace"
@@ -36,9 +38,24 @@ def test_kernel_is_one_elimination():
     assert layers["dp.kernel_states"] > 0
 
 
+#: layers every engine job runs: the sweep, its replayed table rows,
+#: the umbral count and the oracle
+ENGINE_LAYERS = ("dp.columns", "dp.mono_steps", "umbra.monomials", "oracle.calls")
+
+
 def test_glr3_reaches_sweep_umbra_and_oracle():
     layers = traced_layers(
         ("glr3", "--s12", "0", "--s13", "0", "--s23", "0", "-N", "4", "--oracle-depth", "4")
     )
-    for name in ("dp.columns", "umbra.monomials", "oracle.calls"):
+    for name in ENGINE_LAYERS:
+        assert layers[name] > 0, name
+
+
+@pytest.mark.parametrize("args", [
+    ("gen-der", "--shifts", "0,1", "-N", "12", "--oracle-depth", "7"),
+    ("trapezoid", "-N", "6", "--oracle-depth", "7"),
+], ids=["gen-der", "trapezoid"])
+def test_two_row_and_trapezoid_jobs_reach_every_layer(args):
+    layers = traced_layers(args)
+    for name in ENGINE_LAYERS:
         assert layers[name] > 0, name
