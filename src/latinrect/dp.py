@@ -42,8 +42,8 @@ and a3 it counts tile incidences: k_r is the number of row-r cells
   - singletons add nothing.
 At a snapshot the profile is empty and every in-board cell is covered
 exactly once, so a_r = (length of row r at n) - a23 - k_r, the row
-lengths being board.row_lengths(n), which the caller of unpack passes
-in.  That holds for any tiles whose x2, x3 and x23 weights sit on
+lengths being board.row_lengths(n), which each Snapshot carries.
+That holds for any tiles whose x2, x3 and x23 weights sit on
 tiles with a cell on the rows they name, which _Sweep checks.
 
 The slots do not index (k1, k2) itself: for the tiles.py alphabet
@@ -51,13 +51,13 @@ k_r <= a1, so most of that square would stay zero.  Each tile adds
 instead p = [weight is x1] - (its k1) and q = [weight is x1] - (its
 k2), so that k1 = a1 - p and k2 = a1 - q on every term; for the
 tiles.py alphabet p counts the two-cell tiles on rows 0 and 2, and q
-those on rows 0 and 1.  This class layout is taken when every tile has p >= 0
-and q >= 0 and every x1 tile has a row-0 cell: then the x1 tiles sit
-on distinct row-0 cells, and 0 <= p, q <= a1 <= n on every term of
-snapshot n.  Any other alphabet (hand-tagged ones, unit weights among
-them) keeps the incidence layout p = k1, q = k2, where k1, k2 <= n by
-exact cover.  key_groups hands out every slot in class coordinates,
-mapping an incidence slot (k1, k2) to (a1 - k1, a1 - k2).
+those on rows 0 and 1.  This class layout is taken when every tile
+has p >= 0 and q >= 0 and every x1 tile has a row-0 cell: then the x1
+tiles sit on distinct row-0 cells, and 0 <= p, q <= a1 <= n on every
+term of snapshot n.  Any other alphabet (hand-tagged ones, unit
+weights among them) keeps the incidence layout p = k1, q = k2, where
+k1, k2 <= n by exact cover.  Only key_groups turns slots into
+exponents; every other reader sees monomials.
 
 Key and value pack their pairs by one rule, with stride S = n_max+1:
 the key is a23 + S*a1, and the value packs every (p, q) of that key
@@ -117,8 +117,10 @@ rfind locate in C the nonzero span of each q-row of S slots, and that
 span comes out as one int, cut into its digits by shifts.  So Python
 never touches the zero slots outside those spans: 74-80% of the
 snapshot slots of super-Latin N=14, trapezoid N=30 and Latin {0}^3
-N=40, whose spans hold no zero at all.  unpack then reads a_r =
-cells_r - a23 - a1 + p (r = 1) or + q (r = 2).
+N=40, whose spans hold no zero at all.  Each q-row comes out as the
+x2 coefficients at one x3 exponent, lowest a2 first (reversed in the
+incidence layout, where a2 falls as the slot rises), which unpack and
+the count read as they come.
 
 advance is a pure column step.  A run holds zeros at the keys no term
 reaches (30% of the slots at the widest column of a super-Latin N=10
@@ -204,8 +206,10 @@ class _Run(list):
         self.first = first
 
 
-#: (q, p, cs): a run of coefficients at slots p, p + 1, ... of q-row q
+#: (a3, a2, cs): the coefficients of x2^a2, x2^(a2 + 1), ... at x3^a3
 _Row = tuple[int, int, list[int]]
+#: (a1, a23, rows): a key of a 3-row run and its exponent rows
+_KeyGroup = tuple[int, int, Iterator[_Row]]
 
 
 class _Sweep:
@@ -373,41 +377,41 @@ class _Sweep:
         if self.k == 2:
             terms = {(x,): c for x, c in enumerate(packed, packed.first)}
             return WeightPolynomial(self.ring, terms)
-        _, cells1, cells2 = row_lengths
         terms = {}
-        for a1, a23, rows in self.key_groups(packed):
-            # a_r = cells_r - a23 - k_r, where k1 = a1 - p and k2 = a1 - q
-            row1, row2 = cells1 - a23 - a1, cells2 - a23 - a1
-            for q, p, cs in rows:
-                for a2, c in enumerate(cs, row1 + p):
-                    terms[a1, a2, row2 + q, a23] = c
+        for a1, a23, rows in self.key_groups(packed, row_lengths):
+            for a3, a2, cs in rows:
+                for x2, c in enumerate(cs, a2):
+                    terms[a1, x2, a3, a23] = c
         return WeightPolynomial(self.ring, terms)
 
-    def key_groups(self, packed: _Run) -> Iterator[tuple[int, int, Iterator[_Row]]]:
-        """(a1, a23, rows) for each nonzero key of a 3-row run.  rows
-        decodes the key's value only when iterated: (q, p, cs) for each
-        q-row that holds a nonzero coefficient, cs being the
-        coefficients at p, p + 1, ... through the row's last nonzero
-        one, in class coordinates whatever the layout: k1 = a1 - p and
-        k2 = a1 - q."""
+    def key_groups(self, packed: _Run, row_lengths: tuple[int, ...]) -> Iterator[_KeyGroup]:
+        """(a1, a23, rows) for each nonzero key of a 3-row run on a
+        board whose rows have these lengths.  rows decodes the key's
+        value only when iterated: (a3, a2, cs) for each x3 exponent a3
+        with a nonzero coefficient, cs being the coefficients of x2^a2,
+        x2^(a2 + 1), ... through the last nonzero one."""
+        _, cells1, cells2 = row_lengths
         for key, v in enumerate(packed, packed.first):
             if v:
                 a1, a23 = divmod(key, self.stride)
-                rows = balanced_digits(v, self.bits, self.stride)
-                yield a1, a23, rows if self.class_layout else _reflected(rows, a1)
+                yield a1, a23, self._exponent_rows(v, a1, cells1 - a23, cells2 - a23)
 
-
-def _reflected(rows: Iterator[_Row], a1: int) -> Iterator[_Row]:
-    """Incidence-layout rows (k2, k1, cs) in class coordinates."""
-    for k2, k1, cs in rows:
-        yield a1 - k2, a1 - k1 - len(cs) + 1, cs[::-1]
+    def _exponent_rows(self, v: int, a1: int, free2: int, free3: int) -> Iterator[_Row]:
+        """v's q-rows as exponent rows a_r = free_r - k_r, free_r being
+        cells_r - a23 and k_r a1 - slot (class layout) or slot (incidence)."""
+        if self.class_layout:
+            for q, p, cs in balanced_digits(v, self.bits, self.stride):
+                yield free3 - a1 + q, free2 - a1 + p, cs
+        else:
+            for q, p, cs in balanced_digits(v, self.bits, self.stride):
+                yield free3 - q, free2 - p - len(cs) + 1, cs[::-1]
 
 
 class Snapshot:
     """P_n at one column boundary, still the run of the empty profile
     the sweep left there; len() is its slot count.  A count reads it in
     place: dense_run() gives a 2-row snapshot's x coefficients and
-    key_groups() a 3-row one's decoded keys, as _Sweep.key_groups
+    key_groups() a 3-row one's exponent rows, as _Sweep.key_groups
     describes.  poly() unpacks it into a WeightPolynomial."""
 
     __slots__ = ("_sweep", "_run", "_row_lengths")
@@ -430,15 +434,15 @@ class Snapshot:
         self._check_rows(2)
         return self._run.first, self._run
 
-    def key_groups(self) -> Iterator[tuple[int, int, Iterator[_Row]]]:
+    def key_groups(self) -> Iterator[_KeyGroup]:
         self._check_rows(3)
-        return self._sweep.key_groups(self._run)
+        return self._sweep.key_groups(self._run, self._row_lengths)
 
 
 _NONZERO = bytes([0] + [1] * 255)
 
 
-def balanced_digits(v: int, bits: int, width: int) -> Iterator[_Row]:
+def balanced_digits(v: int, bits: int, width: int) -> Iterator[tuple[int, int, list[int]]]:
     """The digits d_s of v = sum_s d_s * 2^(bits*s), where |d_s| <
     2^(bits-1) and bits is a multiple of 8, cut into rows of width
     slots: (r, i, ds) for each row r that holds a nonzero digit, ds

@@ -33,17 +33,17 @@ over its slots k, and level l merges neighbouring blocks of h = 2^l
 slots as left + right * (a+h)!/a!.  Those products depend only on the
 position, so one table serves every run; it grows on demand like the
 factorial table.  On three rows both operators are one
-formula in m = n - a1 - a23 and the row shortfalls (s2, s3), (0, 0)
-on rectangles and (1, 2) on trapezoids: with a2 + s2 = m + p and
-a3 + s3 = m + q, the term c * x1^a1 x2^a2 x3^a3 x23^a23 counts
+formula in the row shortfalls (s2, s3), (0, 0) on rectangles and
+(1, 2) on trapezoids: the term c * x1^a1 x2^a2 x3^a3 x23^a23 counts
 
-  c * (n-a1)!/m! * (m+p)! * (m+q)!/(s2! * s3!),  or 0 when m < 0.
+  c * (n-a1)!/(n-a1-a23)! * (a2+s2)! * (a3+s3)!/(s2! * s3!),
 
-A snapshot hands over its terms grouped by key (a1, a23) and then by
-q-row, with p and q its tile-class counts, so the sum of c * (m+p)!
-over a q-row is taken first and multiplied by (m+q)! once, and a key
-with m < 0 is skipped before its value is decoded.  A WeightPolynomial
-goes through the same loop as one q-row per term.
+or 0 when a1 + a23 > n.  A snapshot hands over its terms grouped by
+key (a1, a23) and then by x3 exponent, as runs of consecutive x2
+exponents, so the sum of c * (a2+s2)! over a run is taken first and
+multiplied by (a3+s3)! once, and a key with a1 + a23 > n is skipped
+before its value is decoded.  A WeightPolynomial goes through the
+same loop as one run per term.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from __future__ import annotations
 import enum
 import math
 from operator import add, mul
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .poly import RING_2ROW, RING_3ROW, RingMismatchError, WeightPolynomial
 
@@ -127,40 +127,35 @@ def umbral_eval_2row(p: WeightPolynomial | Snapshot) -> int:
     return v[0]
 
 
-def _key_groups(p: WeightPolynomial, n: int, s2: int, s3: int) -> list:
-    """p's terms as the key groups of a 3-row snapshot, one q-row of
-    one term each; the operator's domain is x2 and x3 exponents at
-    most n."""
+def _key_groups(p: WeightPolynomial, n: int) -> Iterator[tuple[int, int, list]]:
+    """p's terms as the key groups of a 3-row snapshot, one run of one
+    term each; the operator's domain is x2 and x3 exponents at most n."""
     if p.ring != RING_3ROW:
         raise RingMismatchError(f"expected ring {RING_3ROW.variables!r}")
-    groups = []
     for (a1, a2, a3, a23), c in p._terms.items():
         if a2 > n or a3 > n:
             raise ValueError(
                 f"the 3-row operator at n={n} takes x2 and x3 exponents up to n,"
                 f" got x2^{a2}*x3^{a3}"
             )
-        m = n - a1 - a23
-        groups.append((a1, a23, [(a3 + s3 - m, a2 + s2 - m, [c])]))
-    return groups
+        yield a1, a23, [(a3, a2, [c])]
 
 
 def _umbral_eval_3(source: WeightPolynomial | Snapshot, n: int, s2: int, s3: int) -> int:
     """The 3-row operator on a board whose rows 1 and 2 are s2 and s3
     cells short of n."""
     if isinstance(source, WeightPolynomial):
-        groups = _key_groups(source, n, s2, s3)
+        groups = _key_groups(source, n)
     else:
         groups = source.key_groups()
     fact = factorial_table(n + max(s2, s3))
     total = 0
     for a1, a23, rows in groups:
-        m = n - a1 - a23
-        if m < 0:
+        if a1 + a23 > n:
             continue  # C(n - a1, a23) = 0, and rows is never decoded
         acc = 0
-        for q, p, cs in rows:
-            acc += sum(map(mul, cs, fact[m + p:m + p + len(cs)])) * fact[m + q]
+        for a3, a2, cs in rows:
+            acc += sum(map(mul, cs, fact[a2 + s2:a2 + s2 + len(cs)])) * fact[a3 + s3]
         total += acc * math.perm(n - a1, a23)
     return total // (fact[s2] * fact[s3])
 

@@ -32,6 +32,7 @@ from latinrect.tiles import (
     enumerate_tiles,
     ring_for,
 )
+from latinrect.umbra import umbral_eval_3row, umbral_eval_trapezoid
 from witnesses import mirrored, tile_monomial, weighted_tiling_sum
 
 X = RING_2ROW.var("x")
@@ -436,6 +437,24 @@ def retagged(tiles: Sequence[Tile], cells: tuple, weight: str) -> list[Tile]:
     return [Tile(t.cells, t.coefficient, weight) if t.cells == cells else t for t in tiles]
 
 
+#: (cells, weight) of the one tile hand_tagged retags
+HAND_TAGGED = [
+    (((0, 0), (0, 1)), UNIT_WEIGHT),  # p = -1
+    (((0, 2),), "x1"),                # an x1 tile without a row-0 cell
+]
+HAND_TAGGED_IDS = ["unit-01", "x1-on-row-2"]
+
+
+def hand_tagged(cells: tuple, weight: str) -> tuple[ShiftSpec, list[Tile]]:
+    """A spec and its alphabet with the tile on these cells retagged,
+    which takes the incidence layout."""
+    spec = ShiftSpec.three_rows({0, 1}, {0, -1}, {0})
+    tiles = retagged(enumerate_tiles(spec), cells, weight)
+    # x1 on the row-0 singletons as well: with an x1 row-2
+    # singleton, p then reaches 2n, past the stride
+    return spec, retagged(tiles, ((0, 0),), "x1")
+
+
 class TestSlotLayout:
     """The 3-row slots count tile classes whenever the alphabet allows,
     and fall back to row incidences otherwise."""
@@ -451,17 +470,10 @@ class TestSlotLayout:
         assert len(built) == 2 * len(specs)
         assert all(s.class_layout for s in built)
 
-    @pytest.mark.parametrize("cells,weight", [
-        (((0, 0), (0, 1)), UNIT_WEIGHT),  # p = -1
-        (((0, 2),), "x1"),                # an x1 tile without a row-0 cell
-    ], ids=["unit-01", "x1-on-row-2"])
+    @pytest.mark.parametrize("cells,weight", HAND_TAGGED, ids=HAND_TAGGED_IDS)
     def test_hand_tagged_alphabet_falls_back(self, cells, weight, monkeypatch):
         built = built_sweeps(monkeypatch)
-        spec = ShiftSpec.three_rows({0, 1}, {0, -1}, {0})
-        tiles = retagged(enumerate_tiles(spec), cells, weight)
-        # x1 on the row-0 singletons as well: with an x1 row-2
-        # singleton, p then reaches 2n, past the stride
-        tiles = retagged(tiles, ((0, 0),), "x1")
+        spec, tiles = hand_tagged(cells, weight)
         assert not class_layout_applies(tiles)
         TestPackedSweep.check(spec, rectangle(3), 7, tiles)
         TestPackedSweep.check(spec, trapezoid3(), 7, tiles)
@@ -492,6 +504,44 @@ class TestSlotLayout:
         monkeypatch.setattr(dpmod._Sweep, "unpack", bounded)
         list(weight_snapshots(enumerate_tiles(spec), board, n_max))
         assert checked == list(range(board.min_n, n_max + 1))
+
+
+class TestExponentRows:
+    """Snapshot.key_groups hands out monomial exponents in both slot
+    layouts: its rows flatten to the reference P_n term for term, and
+    the 3-row operators read them as they read that P_n."""
+
+    @staticmethod
+    def check(tiles, board: BoardShape, n_max: int) -> None:
+        snaps = dpmod.packed_snapshots(tiles, board, n_max)
+        for (n, snap), (_, want) in zip(snaps, reference_snapshots(tiles, board, n_max)):
+            terms = {}
+            for a1, a23, rows in snap.key_groups():
+                for a3, a2, cs in rows:
+                    assert cs[0] and cs[-1], (n, a1, a23, a3, a2)
+                    for x2, c in enumerate(cs, a2):
+                        if c:
+                            assert (a1, x2, a3, a23) not in terms
+                            terms[a1, x2, a3, a23] = c
+            assert sorted(terms.items(), reverse=True) == want.terms(), (board, n)
+            for evaluate in (umbral_eval_3row, umbral_eval_trapezoid):
+                assert evaluate(snap, n) == evaluate(want, n), (board, n, evaluate)
+
+    def test_random_specs_both_boards(self, monkeypatch):
+        built = built_sweeps(monkeypatch)
+        for spec in random_three_row_specs(2468, 10):
+            tiles = enumerate_tiles(spec)
+            self.check(tiles, rectangle(3), 6)
+            self.check(tiles, trapezoid3(), 7)
+        assert len(built) == 20 and all(s.class_layout for s in built)
+
+    @pytest.mark.parametrize("cells,weight", HAND_TAGGED, ids=HAND_TAGGED_IDS)
+    def test_incidence_layout(self, cells, weight, monkeypatch):
+        built = built_sweeps(monkeypatch)
+        _, tiles = hand_tagged(cells, weight)
+        self.check(tiles, rectangle(3), 7)
+        self.check(tiles, trapezoid3(), 7)
+        assert len(built) == 2 and not any(s.class_layout for s in built)
 
 
 class TestSlotBound:

@@ -59,3 +59,12 @@ def test_two_row_and_trapezoid_jobs_reach_every_layer(args):
     layers = traced_layers(args)
     for name in ENGINE_LAYERS:
         assert layers[name] > 0, name
+
+
+def test_dump_series_reaches_unpack():
+    # a glr3 job unpacks its snapshots only for the --dump-series table
+    layers = traced_layers(
+        ("glr3", "--s12", "0,1", "--s13", "", "--s23", "-1", "-N", "5",
+         "--oracle-depth", "5", "--dump-series", "5")
+    )
+    assert layers["dp.unpack_monomials"] > 0
