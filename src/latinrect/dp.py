@@ -70,8 +70,22 @@ passes n_max mid-sweep never reaches a snapshot, nor do the terms
 aliased in it.  a1 counts tiles, any of which may carry x1, so it is
 the top coordinate, unbounded.
 
-advance first takes each target profile's key span over the table
-rows that reach it and allocates its run once.  Applying a row then
+advance runs a column as the program of its table set, the column's
+blocked flags; the plan walk builds each program once, from every row
+it signed with those flags.  A program takes the targets fewest rows
+first, and a target may start from an earlier one, its base, whose
+rows, moved by a key offset dk and a slot offset dd >= 0 and
+multiplied by a sign e, are among its own: the target is then e times
+the base's finished run shifted by dd*B bits, dk keys up, plus its
+other rows.  On menage {0,1} the column is P' = xP - P - Q and
+Q' = xP - Q, so P' is built as Q' - P.  A source missing from a column
+drops its rows from a target and its base alike, so one program serves
+every column of its set, and a target whose base is not kept applies
+all its rows.  Sharing partial sums between the outputs of a fixed
+linear map is common-subexpression elimination (Paar, ISIT 1997).
+
+For each kept target advance takes the key span over the ops whose
+source is present and allocates the run once.  Applying an op then
 adds cf * (v << sd*B), for each value v of the source run, into the
 target's slice moved up by kd: one C-level slice update (a map over
 the slice) in place of one Python step per monomial.  Each profile m
@@ -81,13 +95,15 @@ first reaching row positive.  The walk stores each row of a table it
 meets as cf * s(source) * s(target), once, so a profile's run holds
 s(m) times its polynomial and advance applies the rows as stored.
 Snapshots read only the empty profile, whose sign is +1, and |cf|,
-hence B, is unchanged, so no P_n changes.  The first row applied to a
+hence B, is unchanged, so no P_n changes.  The first op applied to a
 target finds it all zeros and stores its values without the add, and
-advance applies first a row whose signed cf is 1 and whose sd is 0
-wherever one reaches the target: that store copies references to the
-source's ints and does no arithmetic.  On the 2-row sets {0,1} and
-{-2,0,3} every kept target has such a row, so a slot of a column
-costs the stores plus one add or subtract per further row.
+each program puts first the plain stores, a row whose signed cf is 1
+and whose sd is 0 or a reuse with e = +1 and dd = 0: such a store
+copies references to the source's ints and does no arithmetic.  A
+base is only taken where it leaves a target that has a plain-store
+row a plain store.  On the 2-row sets {0,1} and {-2,0,3} every kept
+target has one, so a slot of a column costs the stores plus one add
+or subtract per further op.
 
 packed_snapshots keeps at boundary c only the profiles in live[c]:
 {0} at n_max, and before that each profile reached at c that is empty
@@ -137,7 +153,7 @@ from __future__ import annotations
 
 from itertools import repeat
 from operator import add, lshift, mul, sub
-from typing import Iterable, Iterator, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
 from .frozen import Frozen
 from .poly import (
@@ -206,6 +222,71 @@ class _Run(list):
         self.first = first
 
 
+#: (source, key delta, slot delta, signed cf): a planned table row
+_TableRow = tuple[int, int, int, int]
+#: a _TableRow and whether its source is a target built earlier in the
+#: column (a reuse) rather than a profile of the column before
+_Op = tuple[int, int, int, int, bool]
+#: (target, base or None, ops, rows): a target's step in its program
+_Entry = tuple[int, "int | None", list[_Op], list[_Op]]
+
+
+def _store_first(ops: list[_Op]) -> list[_Op]:
+    """ops with the plain stores, cf = 1 and no shift, first."""
+    return [op for op in ops if op[3] == 1 and op[2] == 0] + [
+        op for op in ops if op[3] != 1 or op[2] != 0]
+
+
+def _program(rows: dict[int, list[_TableRow]]) -> list[_Entry]:
+    """The column program of one table set (see the module docstring),
+    rows mapping each target to every signed row into it.  Target A's
+    base B, with a key offset dk, a slot offset dd >= 0 and a sign e,
+    has its rows (s, kd, sd, cf), moved to (s, kd + dk, sd + dd,
+    e * cf), among A's; A's ops are then the reuse (B, dk, dd, e) and
+    A's other rows.  The base is the one with the most rows, from two
+    up, among those that leave A a plain store where A has a plain-store
+    row.  Each candidate B is found through one row of its own, its
+    anchor, from the source with the fewest rows in the set: a B inside
+    A has its anchor's image among A's rows, and that row fixes the
+    move."""
+    program: list[_Entry] = []
+    load: dict[int, int] = {}
+    for own in rows.values():
+        for mask, *_ in own:
+            load[mask] = load.get(mask, 0) + 1
+    # (source, |cf|) -> (target, rows, kd, sd, cf) of each placed target's anchor row
+    anchors: dict[tuple[int, int], list[tuple[int, int, int, int, int]]] = {}
+    placed: dict[int, set[_TableRow]] = {}
+    for m2 in sorted(rows, key=lambda m: len(rows[m])):
+        own = rows[m2]
+        mine = placed[m2] = set(own)
+        stores = [row for row in own if row[2] == 0 and row[3] == 1]
+        move, rank = None, (1, False)
+        for mask, kd, sd, cf in own:
+            for b, size, kb, sb, cb in anchors.get((mask, abs(cf)), ()):
+                if size < rank[0] or sb > sd:
+                    continue
+                dk, dd, e = kd - kb, sd - sb, cf // cb
+                plain = e == 1 and dd == 0
+                if (size, plain) > rank and all(
+                        (s, k + dk, d + dd, e * c) in mine for s, k, d, c in rows[b]) and (
+                        plain or not stores or any(
+                            (s, k - dk, -dd, e) not in placed[b] for s, k, _, _ in stores)):
+                    move, rank = (b, dk, dd, e), (size, plain)
+        full = _store_first([(*row, False) for row in own])
+        if move is None:
+            program.append((m2, None, full, full))
+        else:
+            b, dk, dd, e = move
+            moved = {(s, k + dk, d + dd, e * c) for s, k, d, c in rows[b]}
+            ops = [(*move, True)] + [(*row, False) for row in own if row not in moved]
+            program.append((m2, b, _store_first(ops), full))
+        if len(own) > 1:
+            mask, kd, sd, cf = min(own, key=lambda row: load[row[0]])
+            anchors.setdefault((mask, abs(cf)), []).append((m2, len(own), kd, sd, cf))
+    return program
+
+
 #: (a3, a2, cs): the coefficients of x2^a2, x2^(a2 + 1), ... at x3^a3
 _Row = tuple[int, int, list[int]]
 #: (a1, a23, rows): a key of a 3-row run and its exponent rows
@@ -249,22 +330,29 @@ class _Sweep:
             ops[row].append((bits, kd, p + self.stride * q, cf))
         self.ops_by_row = ops
         self._tables: dict[tuple[int, tuple[bool, ...]], list[tuple[int, int, int, int]]] = {}
-        self.bits, self.live = self._plan(board, n_max)
+        self.bits, self.live, self._programs = self._plan(board, n_max)
 
-    def _plan(self, board: BoardShape, n_max: int) -> tuple[int, list[frozenset[int]]]:
-        """The slot width B and live[c] for every boundary c, from one
-        walk over the column tables on either ring size: forwards for B,
-        then back through the target sets it kept for live.  The first
-        time the walk meets a table it fixes the sign s(m2) of each
-        newly reached target and stores each row's cf as
-        cf * s(mask) * s(m2)."""
+    def _plan(
+        self, board: BoardShape, n_max: int
+    ) -> tuple[int, list[frozenset[int]], dict[tuple[bool, ...], list[_Entry]]]:
+        """The slot width B, live[c] for every boundary c and the column
+        program of every table set, from one walk over the column tables
+        on either ring size: forwards for B, then back through the
+        target sets it kept for live.  The first time the walk meets a
+        table it fixes the sign s(m2) of each newly reached target and
+        stores each row's cf as cf * s(mask) * s(m2).  Each table set's
+        program is planned once, from every signed row the walk met with
+        those blocked flags (_program)."""
         bound = {0: 1}
         sign = {0: 1}
         top = 1
         targets: dict[tuple[int, tuple[bool, ...]], frozenset[int]] = {}
+        # blocked flags -> target -> every signed row into it
+        rows: dict[tuple[bool, ...], dict[int, list[_TableRow]]] = {}
         walked = []
         for column in range(n_max):
             blocked = board.blocked_flags(column)
+            into = rows.setdefault(blocked, {})
             nxt: dict[int, int] = {}
             for mask, b in bound.items():
                 table = self.column_table(mask, blocked)
@@ -274,6 +362,8 @@ class _Sweep:
                     sm = sign[mask]
                     table[:] = [(m2, kd, sd, cf * sm * sign.setdefault(m2, sm if cf > 0 else -sm))
                                 for m2, kd, sd, cf in table]
+                    for m2, kd, sd, cf in table:
+                        into.setdefault(m2, []).append((mask, kd, sd, cf))
                 for m2, _, _, cf in table:
                     nxt[m2] = nxt.get(m2, 0) + abs(cf) * b
             walked.append([(m, targets[m, blocked]) for m in bound])
@@ -282,8 +372,9 @@ class _Sweep:
         live = [frozenset({0})]
         for column in reversed(walked):
             live.append(frozenset([0, *(m for m, out in column if not live[-1].isdisjoint(out))]))
+        programs = {blocked: _program(into) for blocked, into in rows.items()}
         # a sign bit, then whole bytes so unpack can slice the digits
-        return -(-(top.bit_length() + 1) // 8) * 8, live[::-1]
+        return -(-(top.bit_length() + 1) // 8) * 8, live[::-1], programs
 
     def column_table(
         self, mask0: int, blocked: tuple[bool, ...]
@@ -322,49 +413,42 @@ class _Sweep:
         dist: dict[int, _Run],
         blocked: tuple[bool, ...],
         *,
-        live: frozenset[int],
+        live: Container[int],
     ) -> dict[int, _Run]:
-        """One column; only the target profiles in live are kept.  Each
-        source's rows are the signed ones its plan stored, and each
-        target's first row is a store, a cf = 1 with sd = 0 where one
-        reaches it."""
-        # target -> [lo, hi, first row]; a row is (source run, lo, sd, cf)
-        spans: dict[int, list] = {}
-        rest = []
-        for mask, run in dist.items():
-            n = len(run)
-            for m2, kd, sd, cf in self._tables[mask, blocked]:
-                if m2 not in live:
-                    continue
-                lo = run.first + kd
-                row = (run, lo, sd, cf)
-                span = spans.get(m2)
-                if span is None:
-                    spans[m2] = [lo, lo + n, row]
-                    continue
-                span[0] = min(span[0], lo)
-                span[1] = max(span[1], lo + n)
-                if row[2:] == (0, 1) and span[2][2:] != (0, 1):
-                    row, span[2] = span[2], row  # a store goes first
-                rest.append((m2, row))
+        """One column, run as the program of its table set; only the
+        target profiles in live are kept.  A target whose base is kept
+        starts from the base's finished run, moved; any other applies
+        all its rows.  The ops a source in dist or a built base provides
+        are found, the target's run is allocated once over their key
+        span, and the first of them stores into its zeros: a plain
+        store, with no arithmetic, wherever the program has one, since
+        it puts those first."""
         bits = self.bits
-        ndist = {}
-        for m2, (lo, hi, (run, at, sd, cf)) in spans.items():
-            # the first row finds its target all zeros, so it stores
+        ndist: dict[int, _Run] = {}
+        for m2, base, ops, rows in self._programs[blocked]:
+            if m2 not in live:
+                continue
+            if base not in live:
+                ops = rows
+            found = [(run, run.first + kd, sd, cf) for mask, kd, sd, cf, made in ops
+                     if (run := (ndist if made else dist).get(mask)) is not None]
+            if not found:
+                continue
+            lo = min(at for _, at, _, _ in found)
+            hi = max(at + len(run) for run, at, _, _ in found)
             tgt = ndist[m2] = _Run(repeat(0, hi - lo), lo)
-            src = map(lshift, run, repeat(sd * bits)) if sd else run
-            tgt[at - lo:at - lo + len(run)] = src if cf == 1 else map(mul, src, repeat(cf))
-        for m2, (run, at, sd, cf) in rest:
-            tgt = ndist[m2]
-            a = at - tgt.first
-            b = a + len(run)
-            src = map(lshift, run, repeat(sd * bits)) if sd else run
-            if cf == 1:
-                tgt[a:b] = map(add, tgt[a:b], src)
-            elif cf == -1:
-                tgt[a:b] = map(sub, tgt[a:b], src)
-            else:
-                tgt[a:b] = map(add, tgt[a:b], map(mul, src, repeat(cf)))
+            for i, (run, at, sd, cf) in enumerate(found):
+                a = at - lo
+                b = a + len(run)
+                src = map(lshift, run, repeat(sd * bits)) if sd else run
+                if not i:
+                    tgt[a:b] = src if cf == 1 else map(mul, src, repeat(cf))
+                elif cf == 1:
+                    tgt[a:b] = map(add, tgt[a:b], src)
+                elif cf == -1:
+                    tgt[a:b] = map(sub, tgt[a:b], src)
+                else:
+                    tgt[a:b] = map(add, tgt[a:b], map(mul, src, repeat(cf)))
         return ndist
 
     def unpack(

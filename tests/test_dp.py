@@ -723,6 +723,10 @@ class TestProfileSigns:
                            for t, _, sd, cf in sweep.column_table(mask, blocked)), (m2, c)
             sources = set(kept)
         assert -1 in planned_signs(sweep).values()
+        # the program keeps the store first, a plain row or a +1, dd = 0 reuse
+        firsts = first_writes(columns)
+        assert len(firsts) == sum(len(kept) for *_, kept in columns)
+        assert all(sd == 0 and cf == 1 for _, _, (_, _, sd, cf, _) in firsts)
 
     def test_snapshots_match_reference(self, monkeypatch):
         """On random 2-row sets and 3-row specs on both boards, with
@@ -753,6 +757,174 @@ class TestProfileSigns:
                 {s for s in range(-3, 4) if rng.random() < 0.4}))
             negative += -1 in planned_signs(dpmod._Sweep(tiles, rectangle(2), 40)).values()
         assert negative >= 50
+
+
+def first_writes(columns) -> list[tuple[int, int, tuple]]:
+    """(column, target, first op) for every target that each column of
+    TestLiveProfiles.columns builds, replaying its table set's program
+    over the profiles kept before it: a target whose base is not kept,
+    or that has none, takes all its rows, and the first op whose source
+    is present writes first.  Checks that the replay builds exactly the
+    kept profiles."""
+    sweep = columns[0][0]
+    sources: set[int] = {0}
+    out = []
+    for c, (_, blocked, kept) in enumerate(columns, 1):
+        built: set[int] = set()
+        for m2, base, ops, rows in sweep._programs[blocked]:
+            if m2 not in sweep.live[c]:
+                continue
+            present = [op for op in (ops if base in sweep.live[c] else rows)
+                       if op[0] in (built if op[4] else sources)]
+            if present:
+                built.add(m2)
+                out.append((c, m2, present[0]))
+        assert built == set(kept), c
+        sources = built
+    return out
+
+
+class TestColumnPrograms:
+    """Each table set's program, planned once with the tables: a target
+    built from an earlier one, moved, plus its other rows, gives the
+    run the target's own rows give."""
+
+    def test_menage_builds_p_from_q(self):
+        sweep = dpmod._Sweep(enumerate_tiles(ShiftSpec.two_rows({0, 1})), rectangle(2), 10)
+        (q, _, q_ops, _), (p, base, p_ops, _) = sweep._programs[False, False]
+        assert (p, q, base) == (0, 2, 2)
+        assert q_ops == [(0, 1, 0, 1, False), (2, 0, 0, -1, False)]  # Q' = xP - Q
+        assert p_ops == [(2, 0, 0, 1, True), (0, 0, 0, -1, False)]  # P' = Q' - P
+
+    def test_super_latin_reuses_most_targets(self, monkeypatch):
+        super_latin = ShiftSpec.three_rows({-1, 0, 1}, {-2, 0, 2}, {-1, 0, 1})
+        columns = TestLiveProfiles.columns(
+            enumerate_tiles(super_latin), rectangle(3), 10, monkeypatch)
+        sweep = columns[0][0]
+        reused = unkept = 0
+        for c, (_, blocked, kept) in enumerate(columns, 1):
+            for m2, base, _, _ in sweep._programs[blocked]:
+                if m2 in kept and base is not None:
+                    reused += base in sweep.live[c]
+                    unkept += base not in sweep.live[c]
+        assert reused >= 400
+        assert unkept  # some targets fall back to all their rows
+        first_writes(columns)
+
+    def test_reuse_moves_and_signs(self):
+        """The trapezoid's programs move bases by a slot offset and
+        negate some, and rectangles of both ring sizes have one table
+        set, the trapezoid three."""
+        moves = set()
+        for spec, board, sets in ((TRAPEZOID_SPEC, trapezoid3(), 3),
+                                  (ShiftSpec.two_rows({-2, 0, 3}), rectangle(2), 1)):
+            sweep = dpmod._Sweep(enumerate_tiles(spec), board, 17)
+            assert len(sweep._programs) == sets
+            for program in sweep._programs.values():
+                moves |= {(dd > 0, e) for ops in (entry[2] for entry in program)
+                          for _, _, dd, e, made in ops if made}
+        assert {(False, 1), (False, -1), (True, 1)} <= moves
+
+    def test_planned_once_per_table_set(self, monkeypatch):
+        calls = []
+        real = dpmod._program
+        monkeypatch.setattr(dpmod, "_program", lambda rows: calls.append(rows) or real(rows))
+        super_latin = ShiftSpec.three_rows({-1, 0, 1}, {-2, 0, 2}, {-1, 0, 1})
+        for spec, board in ((super_latin, rectangle(3)), (TRAPEZOID_SPEC, trapezoid3()),
+                            (ShiftSpec.two_rows({0, 1}), rectangle(2))):
+            calls.clear()
+            sweep = dpmod._Sweep(enumerate_tiles(spec), board, 12)
+            sets = {board.blocked_flags(c) for c in range(12)}
+            assert len(calls) == len(sets) and set(sweep._programs) == sets
+            dist = {0: dpmod._Run([1])}
+            for n in range(1, 13):
+                dist = sweep.advance(dist, board.blocked_flags(n - 1), live=sweep.live[n])
+            assert len(calls) == len(sets) and 0 in dist
+
+
+PRIME = 2 ** 61 - 1
+
+
+def fingerprint(tiles: Sequence[Tile], board: BoardShape, n_max: int) -> int:
+    """Checks every packed snapshot of a sweep against a residue sweep
+    mod 2^61 - 1, and returns how many snapshots it compared.
+
+    The residue sweep keeps one residue per profile, every profile
+    reached, and applies the sweep's planned table rows one by one,
+    with no program, packing or runs: row (m2, kd, sd, cf) adds cf *
+    z^kd * w^sd times its source's residue.  So the empty profile holds
+    sum c z^key w^slot over its packed terms (its sign is +1), which is
+    P_n at a point.  On two rows the key is the x exponent: x = z.  On
+    three the key is a23 + S*a1 and the slot p + S*q, and exact cover
+    gives a_r = cells_r - a23 - a1 + (p or q) in the class layout,
+    cells_r - a23 - (p or q) in the incidence layout: with e = 1 or -1
+    for the two, x2 = w^e, x3 = w^(e*S), x23 = z*x2*x3 and x1 = z^S, times
+    x2*x3 in the class layout, give the residue times x2^cells1
+    x3^cells2.  The packed side evaluates each P_n from dense_run or
+    key_groups, monomial by monomial, at that point."""
+    rng = random.Random(PRIME)
+    z, w = rng.randrange(2, PRIME), rng.randrange(2, PRIME)
+    residues = {0: 1}
+    column = compared = 0
+    for n, snapshot in dpmod.packed_snapshots(tiles, board, n_max):
+        sweep = snapshot._sweep
+        while column < n:
+            nxt: dict[int, int] = {}
+            for mask, r in residues.items():
+                for m2, kd, sd, cf in sweep._tables[mask, board.blocked_flags(column)]:
+                    step = cf * pow(z, kd, PRIME) * pow(w, sd, PRIME) * r
+                    nxt[m2] = (nxt.get(m2, 0) + step) % PRIME
+            residues = nxt
+            column += 1
+        want = residues.get(0, 0)
+        if board.rows == 2:
+            first, values = snapshot.dense_run()
+            got = sum(v * pow(z, first + i, PRIME) for i, v in enumerate(values))
+        else:
+            x2 = pow(w, 1 if sweep.class_layout else -1, PRIME)
+            x3 = pow(x2, sweep.stride, PRIME)
+            x23 = z * x2 * x3 % PRIME
+            x1 = pow(z, sweep.stride, PRIME) * (x2 * x3 if sweep.class_layout else 1)
+            _, cells1, cells2 = board.row_lengths(n)
+            want = want * pow(x2, cells1, PRIME) * pow(x3, cells2, PRIME)
+            got = 0
+            for a1, a23, rows in snapshot.key_groups():
+                for a3, a2, cs in rows:
+                    run = 0
+                    for c in reversed(cs):
+                        run = (run * x2 + c) % PRIME
+                    got += (run * pow(x2, a2, PRIME) * pow(x3, a3, PRIME)
+                            * pow(x1, a1, PRIME) * pow(x23, a23, PRIME))
+        assert (got - want) % PRIME == 0, n
+        compared += 1
+    return compared
+
+
+class TestFingerprint:
+    """Every packed P_n against the residue sweep over the same planned
+    rows, at sizes far past brute force and the reference sweep: it
+    checks the programs, packing, runs and signs at every n."""
+
+    def test_random_specs(self):
+        for spec in random_three_row_specs(2024, 20):
+            assert fingerprint(enumerate_tiles(spec), rectangle(3), 6) == 7
+            assert fingerprint(enumerate_tiles(spec), trapezoid3(), 7) == 5
+
+    @pytest.mark.parametrize("cells,weight", HAND_TAGGED, ids=HAND_TAGGED_IDS)
+    def test_incidence_layout(self, cells, weight):
+        _, tiles = hand_tagged(cells, weight)
+        assert fingerprint(tiles, rectangle(3), 10) == 11
+
+    def test_super_latin_to_14(self):
+        super_latin = ShiftSpec.three_rows({-1, 0, 1}, {-2, 0, 2}, {-1, 0, 1})
+        assert fingerprint(enumerate_tiles(super_latin), rectangle(3), 14) == 15
+
+    def test_trapezoid_to_24(self):
+        assert fingerprint(enumerate_tiles(TRAPEZOID_SPEC), trapezoid3(), 24) == 22
+
+    def test_two_rows_to_300(self):
+        tiles = enumerate_tiles(ShiftSpec.two_rows({-2, 0, 3}))
+        assert fingerprint(tiles, rectangle(2), 300) == 301
 
 
 class TestBalancedDigits:
