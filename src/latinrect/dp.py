@@ -73,16 +73,17 @@ the top coordinate, unbounded.
 advance runs a column as the program of its table set, the column's
 blocked flags; the plan walk builds each program once, from every row
 it signed with those flags.  A program takes the targets fewest rows
-first, and a target may start from an earlier one, its base, whose
-rows, moved by a key offset dk and a slot offset dd >= 0 and
-multiplied by a sign e, are among its own: the target is then e times
-the base's finished run shifted by dd*B bits, dk keys up, plus its
-other rows.  On menage {0,1} the column is P' = xP - P - Q and
-Q' = xP - Q, so P' is built as Q' - P.  A source missing from a column
-drops its rows from a target and its base alike, so one program serves
-every column of its set, and a target whose base is not kept applies
-all its rows.  Sharing partial sums between the outputs of a fixed
-linear map is common-subexpression elimination (Paar, ISIT 1997).
+first, and a target may start from an earlier one, its base: the one
+with the most rows, two or more, whose rows, moved by a key offset dk
+and a slot offset dd >= 0 and multiplied by a sign e, are among its
+own.  The target is then e times the base's finished run shifted by
+dd*B bits, dk keys up, plus its other rows.  On menage {0,1} the
+column is P' = xP - P - Q and Q' = xP - Q, so P' is built as Q' - P.
+A source missing from a column drops its rows from a target and its
+base alike, so one program serves every column of its set, and a
+target whose base is not kept applies all its rows.  Sharing partial
+sums between the outputs of a fixed linear map is common-subexpression
+elimination (Paar, ISIT 1997).
 
 For each kept target advance takes the key span over the ops whose
 source is present and allocates the run once.  Applying an op then
@@ -91,19 +92,19 @@ target's slice moved up by kd: one C-level slice update (a map over
 the slice) in place of one Python step per monomial.  Each profile m
 carries a sign s(m) that the plan walk fixes: +1 for the empty
 profile, and for every newly reached profile the sign that makes its
-first reaching row positive.  The walk stores each row of a table it
-meets as cf * s(source) * s(target), once, so a profile's run holds
-s(m) times its polynomial and advance applies the rows as stored.
-Snapshots read only the empty profile, whose sign is +1, and |cf|,
-hence B, is unchanged, so no P_n changes.  The first op applied to a
-target finds it all zeros and stores its values without the add, and
-each program puts first the plain stores, a row whose signed cf is 1
-and whose sd is 0 or a reuse with e = +1 and dd = 0: such a store
-copies references to the source's ints and does no arithmetic.  A
-base is only taken where it leaves a target that has a plain-store
-row a plain store.  On the 2-row sets {0,1} and {-2,0,3} every kept
-target has one, so a slot of a column costs the stores plus one add
-or subtract per further op.
+first reaching row positive.  The walk copies each row of a table it
+meets into its set's program rows as cf * s(source) * s(target),
+once, so a profile's run holds s(m) times its polynomial and advance
+applies the rows as planned; the cached column tables keep the plain
+cf.  Snapshots read only the empty profile, whose sign is +1, and
+|cf|, hence B, is unchanged, so no P_n changes.  The first op applied
+to a target finds it all zeros and stores its values without the add,
+and each program puts first the plain stores, a row whose signed cf
+is 1 and whose sd is 0 or a reuse with e = +1 and dd = 0: such a
+store copies references to the source's ints and does no arithmetic.
+On the 2-row sets {0,1} and {-2,0,3} every kept target's first op is
+one, so a slot of a column costs the stores plus one add or subtract
+per further op.
 
 packed_snapshots keeps at boundary c only the profiles in live[c]:
 {0} at n_max, and before that each profile reached at c that is empty
@@ -231,10 +232,9 @@ _Op = tuple[int, int, int, int, bool]
 _Entry = tuple[int, "int | None", list[_Op], list[_Op]]
 
 
-def _store_first(ops: list[_Op]) -> list[_Op]:
-    """ops with the plain stores, cf = 1 and no shift, first."""
-    return [op for op in ops if op[3] == 1 and op[2] == 0] + [
-        op for op in ops if op[3] != 1 or op[2] != 0]
+def _stores_first(op: _Op) -> bool:
+    """Sort key that puts the plain stores, cf = 1 and no shift, first."""
+    return op[3] != 1 or op[2] != 0
 
 
 def _program(rows: dict[int, list[_TableRow]]) -> list[_Entry]:
@@ -243,12 +243,11 @@ def _program(rows: dict[int, list[_TableRow]]) -> list[_Entry]:
     base B, with a key offset dk, a slot offset dd >= 0 and a sign e,
     has its rows (s, kd, sd, cf), moved to (s, kd + dk, sd + dd,
     e * cf), among A's; A's ops are then the reuse (B, dk, dd, e) and
-    A's other rows.  The base is the one with the most rows, from two
-    up, among those that leave A a plain store where A has a plain-store
-    row.  Each candidate B is found through one row of its own, its
-    anchor, from the source with the fewest rows in the set: a B inside
-    A has its anchor's image among A's rows, and that row fixes the
-    move."""
+    A's other rows, plain stores first.  The base is the earlier target
+    with the most rows, from two up, that fits.  Each candidate B is
+    found through one row of its own, its anchor, from the source with
+    the fewest rows in the set: a B inside A has its anchor's image
+    among A's rows, and that row fixes the move."""
     program: list[_Entry] = []
     load: dict[int, int] = {}
     for own in rows.values():
@@ -256,31 +255,24 @@ def _program(rows: dict[int, list[_TableRow]]) -> list[_Entry]:
             load[mask] = load.get(mask, 0) + 1
     # (source, |cf|) -> (target, rows, kd, sd, cf) of each placed target's anchor row
     anchors: dict[tuple[int, int], list[tuple[int, int, int, int, int]]] = {}
-    placed: dict[int, set[_TableRow]] = {}
     for m2 in sorted(rows, key=lambda m: len(rows[m])):
         own = rows[m2]
-        mine = placed[m2] = set(own)
-        stores = [row for row in own if row[2] == 0 and row[3] == 1]
-        move, rank = None, (1, False)
+        mine = set(own)
+        move, most = None, 1
         for mask, kd, sd, cf in own:
             for b, size, kb, sb, cb in anchors.get((mask, abs(cf)), ()):
-                if size < rank[0] or sb > sd:
-                    continue
                 dk, dd, e = kd - kb, sd - sb, cf // cb
-                plain = e == 1 and dd == 0
-                if (size, plain) > rank and all(
-                        (s, k + dk, d + dd, e * c) in mine for s, k, d, c in rows[b]) and (
-                        plain or not stores or any(
-                            (s, k - dk, -dd, e) not in placed[b] for s, k, _, _ in stores)):
-                    move, rank = (b, dk, dd, e), (size, plain)
-        full = _store_first([(*row, False) for row in own])
-        if move is None:
-            program.append((m2, None, full, full))
-        else:
-            b, dk, dd, e = move
-            moved = {(s, k + dk, d + dd, e * c) for s, k, d, c in rows[b]}
-            ops = [(*move, True)] + [(*row, False) for row in own if row not in moved]
-            program.append((m2, b, _store_first(ops), full))
+                if size > most and dd >= 0 and all(
+                        (s, k + dk, d + dd, e * c) in mine for s, k, d, c in rows[b]):
+                    move, most = (b, dk, dd, e), size
+        full = sorted([(*row, False) for row in own], key=_stores_first)
+        base, ops = None, full
+        if move is not None:
+            base, dk, dd, e = move
+            moved = {(s, k + dk, d + dd, e * c) for s, k, d, c in rows[base]}
+            ops = sorted([(*move, True)] + [op for op in full if op[:4] not in moved],
+                         key=_stores_first)
+        program.append((m2, base, ops, full))
         if len(own) > 1:
             mask, kd, sd, cf = min(own, key=lambda row: load[row[0]])
             anchors.setdefault((mask, abs(cf)), []).append((m2, len(own), kd, sd, cf))
@@ -340,9 +332,10 @@ class _Sweep:
         on either ring size: forwards for B, then back through the
         target sets it kept for live.  The first time the walk meets a
         table it fixes the sign s(m2) of each newly reached target and
-        stores each row's cf as cf * s(mask) * s(m2).  Each table set's
-        program is planned once, from every signed row the walk met with
-        those blocked flags (_program)."""
+        collects each row, its cf signed as cf * s(mask) * s(m2), for
+        its table set; the table itself stays as column_table built it.
+        Each table set's program is planned once, from every signed row
+        the walk collected with those blocked flags (_program)."""
         bound = {0: 1}
         sign = {0: 1}
         top = 1
@@ -360,10 +353,9 @@ class _Sweep:
                     targets[mask, blocked] = frozenset(m2 for m2, *_ in table)
                     # a profile's first reaching row comes out positive
                     sm = sign[mask]
-                    table[:] = [(m2, kd, sd, cf * sm * sign.setdefault(m2, sm if cf > 0 else -sm))
-                                for m2, kd, sd, cf in table]
                     for m2, kd, sd, cf in table:
-                        into.setdefault(m2, []).append((mask, kd, sd, cf))
+                        sm2 = sign.setdefault(m2, sm if cf > 0 else -sm)
+                        into.setdefault(m2, []).append((mask, kd, sd, cf * sm * sm2))
                 for m2, _, _, cf in table:
                     nxt[m2] = nxt.get(m2, 0) + abs(cf) * b
             walked.append([(m, targets[m, blocked]) for m in bound])
@@ -380,8 +372,8 @@ class _Sweep:
         self, mask0: int, blocked: tuple[bool, ...]
     ) -> list[tuple[int, int, int, int]]:
         """(next profile, key delta, slot delta, coefficient) rows,
-        cached; once the plan has walked a table, each coefficient is
-        cf * s(mask0) * s(next profile)."""
+        cached: the same rows whether or not the plan has walked the
+        table."""
         key = (mask0, blocked)
         hit = self._tables.get(key)
         if hit is not None:

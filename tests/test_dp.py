@@ -681,31 +681,40 @@ class TestLiveProfiles:
 
 def planned_signs(sweep) -> dict[int, int]:
     """s(m) for every profile the plan of sweep reached, checked to be a
-    diagonal change of basis: each table the plan walked equals the
-    same table built afresh, unplanned, row for row, with cf times
-    s(source) * s(target), one sign per profile and s(0) = +1.  A sweep
-    planned for no column would not do: on three rows its key deltas
-    depend on n_max."""
+    diagonal change of basis: the signed rows of each table set's
+    program are the rows of every table the plan walked with those
+    blocked flags, built afresh, each once, with cf times s(source) *
+    s(target), one sign per profile and s(0) = +1.  A sweep planned for
+    no column would not do: on three rows its key deltas depend on
+    n_max."""
     plain = copy.copy(sweep)
     plain._tables = {}
+    signed = {(mask, blocked, m2, kd, sd): cf
+              for blocked, program in sweep._programs.items()
+              for m2, _, _, rows in program for mask, kd, sd, cf, _ in rows}
+    assert len(signed) == sum(len(rows) for program in sweep._programs.values()
+                              for *_, rows in program)
     sign = {0: 1}
+    met = 0
     # the plan walks a table only after one that reaches its source
-    for (mask, blocked), table in sweep._tables.items():
-        rows = plain.column_table(mask, blocked)
-        assert [r[:3] for r in table] == [r[:3] for r in rows], (mask, blocked)
-        for (m2, _, _, cf), (*_, cf0) in zip(table, rows):
+    for mask, blocked in sweep._tables:
+        for m2, kd, sd, cf0 in plain.column_table(mask, blocked):
+            cf = signed[mask, blocked, m2, kd, sd]
             assert abs(cf) == abs(cf0), (mask, m2, blocked)
             s = sign[mask] * (cf // cf0)
             assert sign.setdefault(m2, s) == s, (mask, m2, blocked)
+            met += 1
+    assert met == len(signed)
     return sign
 
 
 class TestProfileSigns:
-    """The plan stores each row of a table as cf * s(source) *
-    s(target), so each profile's run holds s(profile) times its
-    polynomial; the empty profile's sign is +1, and the plan picks the
-    signs so that a target's first row can be a store: cf = 1 with sd =
-    0 in the planned table."""
+    """The plan copies each row of a table into its set's program as cf
+    * s(source) * s(target), so each profile's run holds s(profile)
+    times its polynomial; the empty profile's sign is +1, and the plan
+    picks the signs so that a target's first row can be a store: cf = 1
+    with sd = 0 among its program rows.  The cached tables keep the
+    plain cf."""
 
     @pytest.mark.parametrize(
         "shifts",
@@ -717,16 +726,31 @@ class TestProfileSigns:
         sweep = columns[0][0]
         sources = {0}
         for c, (_, blocked, kept) in enumerate(columns, 1):
+            signed = {m2: rows for m2, _, _, rows in sweep._programs[blocked]}
             for m2 in kept:
-                assert any(t == m2 and sd == 0 and cf == 1
-                           for mask in sources
-                           for t, _, sd, cf in sweep.column_table(mask, blocked)), (m2, c)
+                assert any(mask in sources and sd == 0 and cf == 1
+                           for mask, _, sd, cf, _ in signed[m2]), (m2, c)
             sources = set(kept)
         assert -1 in planned_signs(sweep).values()
         # the program keeps the store first, a plain row or a +1, dd = 0 reuse
         firsts = first_writes(columns)
         assert len(firsts) == sum(len(kept) for *_, kept in columns)
         assert all(sd == 0 and cf == 1 for _, _, (_, _, sd, cf, _) in firsts)
+
+    def test_planned_tables_stay_plain(self):
+        """Every table the plan walked reads, row for row, as the same
+        table built afresh, so column_table means one thing before and
+        after the plan."""
+        super_latin = ShiftSpec.three_rows({-1, 0, 1}, {-2, 0, 2}, {-1, 0, 1})
+        for spec, board in ((super_latin, rectangle(3)), (TRAPEZOID_SPEC, trapezoid3()),
+                            (ShiftSpec.two_rows({0, 1}), rectangle(2)),
+                            (ShiftSpec.two_rows({-2, 0, 3}), rectangle(2))):
+            sweep = dpmod._Sweep(enumerate_tiles(spec), board, 12)
+            plain = copy.copy(sweep)
+            plain._tables = {}
+            assert sweep._tables
+            for (mask, blocked), table in sweep._tables.items():
+                assert table == plain.column_table(mask, blocked), (mask, blocked)
 
     def test_snapshots_match_reference(self, monkeypatch):
         """On random 2-row sets and 3-row specs on both boards, with
@@ -784,6 +808,50 @@ def first_writes(columns) -> list[tuple[int, int, tuple]]:
     return out
 
 
+def fits(base: set[tuple], target: set[tuple]) -> bool:
+    """Whether base's rows, moved by some key offset dk, slot offset dd
+    >= 0 and sign e = +-1, are all among target's: tried for every row
+    of target that one row of base can move to."""
+    s0, k0, d0, c0 = next(iter(base))
+    for s1, k1, d1, c1 in target:
+        if s1 == s0 and abs(c1) == abs(c0) and d1 >= d0:
+            dk, dd, e = k1 - k0, d1 - d0, c1 // c0
+            if all((s, k + dk, d + dd, e * c) in target for s, k, d, c in base):
+                return True
+    return False
+
+
+def check_against_brute_force(program: list) -> int:
+    """Checks one table set's program against a planner that tries every
+    earlier target as each target's base, and returns how many targets
+    reuse one.  A reuse must be sound: the base's rows, moved by (dk,
+    dd) with dd >= 0 and times e = +-1, are among the target's.  The ops
+    are the reuse plus exactly the target's other rows, plain stores
+    first, and no earlier target with more rows fits."""
+    placed: dict[int, set[tuple]] = {}
+    reusing = 0
+    for m2, base, ops, rows in program:
+        mine = {op[:4] for op in rows}
+        assert len(mine) == len(rows) and not any(op[4] for op in rows), m2
+        best = max((len(theirs) for theirs in placed.values()
+                    if len(theirs) > 1 and fits(theirs, mine)), default=1)
+        reuse = [op[:4] for op in ops if op[4]]
+        rest = sorted(op[:4] for op in ops if not op[4])
+        if base is None:
+            assert best == 1 and not reuse and rest == sorted(mine), m2
+        else:
+            (b, dk, dd, e), = reuse
+            assert b == base and dd >= 0 and e in (1, -1), m2
+            moved = {(s, k + dk, d + dd, e * c) for s, k, d, c in placed[b]}
+            assert moved <= mine and rest == sorted(mine - moved), m2
+            assert len(placed[b]) == best, m2
+            reusing += 1
+        stores = [op[3] == 1 and op[2] == 0 for op in ops]
+        assert stores == sorted(stores, reverse=True), m2
+        placed[m2] = mine
+    return reusing
+
+
 class TestColumnPrograms:
     """Each table set's program, planned once with the tables: a target
     built from an earlier one, moved, plus its other rows, gives the
@@ -825,6 +893,19 @@ class TestColumnPrograms:
                           for _, _, dd, e, made in ops if made}
         assert {(False, 1), (False, -1), (True, 1)} <= moves
 
+    def test_planner_matches_brute_force(self, monkeypatch):
+        built = built_sweeps(monkeypatch)
+        super_latin = ShiftSpec.three_rows({-1, 0, 1}, {-2, 0, 2}, {-1, 0, 1})
+        cases = [(super_latin, rectangle(3), 10, 1), (TRAPEZOID_SPEC, trapezoid3(), 17, 3)]
+        cases += [(ShiftSpec.two_rows(shifts), rectangle(2), 30, 1)
+                  for shifts in ({0, 1}, {-2, 0, 3}, {7})]
+        for spec, board, n_max, sets in cases:
+            next(dpmod.packed_snapshots(enumerate_tiles(spec), board, n_max))
+            sweep = built.pop()
+            assert len(sweep._programs) == sets
+            reusing = sum(map(check_against_brute_force, sweep._programs.values()))
+            assert reusing, spec.describe()
+
     def test_planned_once_per_table_set(self, monkeypatch):
         calls = []
         real = dpmod._program
@@ -850,17 +931,17 @@ def fingerprint(tiles: Sequence[Tile], board: BoardShape, n_max: int) -> int:
     mod 2^61 - 1, and returns how many snapshots it compared.
 
     The residue sweep keeps one residue per profile, every profile
-    reached, and applies the sweep's planned table rows one by one,
-    with no program, packing or runs: row (m2, kd, sd, cf) adds cf *
-    z^kd * w^sd times its source's residue.  So the empty profile holds
-    sum c z^key w^slot over its packed terms (its sign is +1), which is
-    P_n at a point.  On two rows the key is the x exponent: x = z.  On
-    three the key is a23 + S*a1 and the slot p + S*q, and exact cover
-    gives a_r = cells_r - a23 - a1 + (p or q) in the class layout,
-    cells_r - a23 - (p or q) in the incidence layout: with e = 1 or -1
-    for the two, x2 = w^e, x3 = w^(e*S), x23 = z*x2*x3 and x1 = z^S, times
-    x2*x3 in the class layout, give the residue times x2^cells1
-    x3^cells2.  The packed side evaluates each P_n from dense_run or
+    reached, and applies the rows of the sweep's cached column tables
+    one by one, unsigned, with no program, packing or runs: row (m2, kd,
+    sd, cf) adds cf * z^kd * w^sd times its source's residue.  So the
+    empty profile holds sum c z^key w^slot over its packed terms (its
+    sign is +1), which is P_n at a point.  On two rows the key is the x
+    exponent: x = z.  On three the key is a23 + S*a1 and the slot p +
+    S*q, and exact cover gives a_r = cells_r - a23 - a1 + (p or q) in
+    the class layout, cells_r - a23 - (p or q) in the incidence layout:
+    with e = 1 or -1 for the two, x2 = w^e, x3 = w^(e*S), x23 = z*x2*x3
+    and x1 = z^S, times x2*x3 in the class layout, give the residue
+    times x2^cells1 x3^cells2.  The packed side evaluates each P_n from dense_run or
     key_groups, monomial by monomial, at that point."""
     rng = random.Random(PRIME)
     z, w = rng.randrange(2, PRIME), rng.randrange(2, PRIME)

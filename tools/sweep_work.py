@@ -16,12 +16,16 @@ column programs apply, reuses of a built base included.  The columns:
     a target stores, so a plain store (cf = 1, no shift) counts none;
   - no free first write: kept targets, summed over columns, whose first
     op does arithmetic;
-  - reusing: kept targets built from a base.
+  - reusing: kept targets built from a base;
+  - plan s (on the `program` line): the best of 3 constructions of the
+    sweep's _Sweep, from the tiles and board packed_snapshots gave it,
+    in seconds: the plan walk, its tables and the programs.
 """
 
 from __future__ import annotations
 
 import sys
+import timeit
 from pathlib import Path
 
 sys.dont_write_bytecode = True
@@ -40,23 +44,29 @@ SWEEPS = (
 FIELDS = ("ops", "slot steps", "big-int ops", "no free first write", "reusing")
 
 
-def columns(tiles, board: dp.BoardShape, n_max: int) -> list[tuple]:
-    """(sweep, blocked, live, dist, ndist) for every advance of a sweep."""
-    real = dp._Sweep.advance
-    seen = []
+def columns(tiles, board: dp.BoardShape, n_max: int) -> tuple[list[tuple], float]:
+    """(sweep, blocked, live, dist, ndist) for every advance of a sweep,
+    and the best of 3 constructions of its _Sweep, in seconds."""
+    real, init = dp._Sweep.advance, dp._Sweep.__init__
+    seen, made = [], []
 
     def recorded(self, dist, blocked, *, live):
         ndist = real(self, dist, blocked, live=live)
         seen.append((self, blocked, live, dist, ndist))
         return ndist
 
-    dp._Sweep.advance = recorded
+    def constructed(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    dp._Sweep.advance, dp._Sweep.__init__ = recorded, constructed
     try:
         for _ in dp.packed_snapshots(tiles, board, n_max):
             pass
     finally:
-        dp._Sweep.advance = real
-    return seen
+        dp._Sweep.advance, dp._Sweep.__init__ = real, init
+    args, = made
+    return seen, min(timeit.repeat(lambda: dp._Sweep(*args), number=1, repeat=3))
 
 
 def work(seen: list[tuple]) -> tuple[dict[str, int], dict[str, int]]:
@@ -85,11 +95,13 @@ def work(seen: list[tuple]) -> tuple[dict[str, int], dict[str, int]]:
 
 
 def main() -> int:
-    print(f"{'sweep':<18} {'':<8}" + "".join(f"{f:>21}" for f in FIELDS))
+    print(f"{'sweep':<18} {'':<8}" + "".join(f"{f:>21}" for f in FIELDS) + f"{'plan s':>9}")
     for name, spec, board, n_max in SWEEPS:
-        table, program = work(columns(enumerate_tiles(spec), board, n_max))
-        for label, count in (("table", table), ("program", program)):
-            print(f"{name:<18} {label:<8}" + "".join(f"{count[f]:>21,}" for f in FIELDS))
+        seen, plan = columns(enumerate_tiles(spec), board, n_max)
+        table, program = work(seen)
+        for label, count, tail in (("table", table, ""), ("program", program, f"{plan:.4f}")):
+            print(f"{name:<18} {label:<8}" + "".join(f"{count[f]:>21,}" for f in FIELDS)
+                  + f"{tail:>9}")
     return 0
 
 
