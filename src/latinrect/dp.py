@@ -107,13 +107,15 @@ one, so a slot of a column costs the stores plus one add or subtract
 per further op.
 
 packed_snapshots keeps at boundary c only the profiles in live[c]:
-{0} at n_max, and before that each profile reached at c that is empty
-(P_c is read there, whether or not a row leads on to empty) or has a
-table row into live[c + 1].  Every reached predecessor of a live
-profile is live, so each kept run gets every row that reaches it, as
-in a sweep that keeps every target, and every P_n is unchanged: the
-prune skips only runs no snapshot reads, most of them near the end
-(super-Latin keeps 62, then 8 of its 203 profiles).
+{0} at n_max, and before that the empty profile (P_c is read there,
+whether or not a row leads on to empty) and the source of every
+planned row of column c's table set into live[c + 1], even a source
+column c does not reach (see _Sweep._plan).  Every reached
+predecessor of a live profile is live, so each kept run gets every
+row that reaches it, as in a sweep that keeps every target, and every
+P_n is unchanged: the prune skips only runs no snapshot reads, most
+of them near the end (super-Latin keeps 62, then 8 of its 203
+profiles).
 
 The slot width B is a proven bound on both ring sizes, and only the
 3-row packing reads it: on two rows every slot delta is 0, so advance
@@ -121,7 +123,8 @@ never shifts by B.  A coefficient of profile m after c columns is a
 sum, over paths of column-table rows from the empty profile, of the
 products of their cf, so its absolute value is at most beta_c(m),
 where beta_0 is 1 at the empty profile and
-beta_{c+1}(m2) = sum of |cf| * beta_c(m) over table rows m -> m2.
+beta_{c+1}(m2) = sum of |cf| * beta_c(m) over table rows m -> m2,
+which the plan sums over the planned rows into m2.
 With 2^(B-1) > max beta over all columns and profiles, every digit
 satisfies |c| < 2^(B-1), and such signed digits are unique for a
 given integer.  So B is one sign bit over the bit length of that
@@ -328,42 +331,43 @@ class _Sweep:
         self, board: BoardShape, n_max: int
     ) -> tuple[int, list[frozenset[int]], dict[tuple[bool, ...], list[_Entry]]]:
         """The slot width B, live[c] for every boundary c and the column
-        program of every table set, from one walk over the column tables
-        on either ring size: forwards for B, then back through the
-        target sets it kept for live.  The first time the walk meets a
-        table it fixes the sign s(m2) of each newly reached target and
-        collects each row, its cf signed as cf * s(mask) * s(m2), for
-        its table set; the table itself stays as column_table built it.
-        Each table set's program is planned once, from every signed row
-        the walk collected with those blocked flags (_program)."""
+        program of every table set, all read off the one structure the
+        walk keeps: per table set (blocked flags), every signed row into
+        each target.  The first time the walk meets a table it fixes
+        the sign s(m2) of each newly reached target and adds each row,
+        cf signed as cf * s(mask) * s(m2), to its set's rows; the table
+        stays as column_table built it.  Forwards, beta_{c+1}(m2) sums
+        |cf| * beta_c(source) over the rows into m2, a source column c
+        does not reach counting 0.  Backwards, live[c] is {0} and the
+        source of every row into live[c + 1].  Rows met at other columns
+        with the same flags count too, so live[c] may hold profiles
+        column c does not reach; advance finds no source for them and
+        never builds them, so every kept run, P_n and count is as it
+        would be without them.  Each set's program is planned once, from
+        its rows (_program)."""
         bound = {0: 1}
         sign = {0: 1}
         top = 1
-        targets: dict[tuple[int, tuple[bool, ...]], frozenset[int]] = {}
         # blocked flags -> target -> every signed row into it
         rows: dict[tuple[bool, ...], dict[int, list[_TableRow]]] = {}
-        walked = []
         for column in range(n_max):
             blocked = board.blocked_flags(column)
             into = rows.setdefault(blocked, {})
-            nxt: dict[int, int] = {}
-            for mask, b in bound.items():
-                table = self.column_table(mask, blocked)
-                if (mask, blocked) not in targets:
-                    targets[mask, blocked] = frozenset(m2 for m2, *_ in table)
+            for mask in bound:
+                if (mask, blocked) not in self._tables:
                     # a profile's first reaching row comes out positive
                     sm = sign[mask]
-                    for m2, kd, sd, cf in table:
+                    for m2, kd, sd, cf in self.column_table(mask, blocked):
                         sm2 = sign.setdefault(m2, sm if cf > 0 else -sm)
                         into.setdefault(m2, []).append((mask, kd, sd, cf * sm * sm2))
-                for m2, _, _, cf in table:
-                    nxt[m2] = nxt.get(m2, 0) + abs(cf) * b
-            walked.append([(m, targets[m, blocked]) for m in bound])
-            bound = nxt
+            sums = {m2: sum(abs(cf) * bound.get(s, 0) for s, _, _, cf in own)
+                    for m2, own in into.items()}
+            bound = {m2: b for m2, b in sums.items() if b}
             top = max(top, max(bound.values(), default=0))
         live = [frozenset({0})]
-        for column in reversed(walked):
-            live.append(frozenset([0, *(m for m, out in column if not live[-1].isdisjoint(out))]))
+        for column in reversed(range(n_max)):
+            into = rows[board.blocked_flags(column)]
+            live.append(frozenset({0, *(s for m2 in live[-1] for s, _, _, _ in into.get(m2, ()))}))
         programs = {blocked: _program(into) for blocked, into in rows.items()}
         # a sign bit, then whole bytes so unpack can slice the digits
         return -(-(top.bit_length() + 1) // 8) * 8, live[::-1], programs

@@ -265,8 +265,6 @@ def count_latin3_cycle_type(n: int) -> int:
     symbols permutes the ban matrix without changing it."""
     if n < 0:
         raise ValueError(f"negative board size {n}")
-    if n == 0:
-        return 1
     total = 0
     for parts in _partitions_min2(n):
         rep = _cycle_rep(parts, n)

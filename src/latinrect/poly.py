@@ -143,9 +143,6 @@ class WeightPolynomial:
     def is_one(self) -> bool:
         return self._terms == {(0,) * self.ring.nvars: 1}
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def __len__(self) -> int:
         return len(self._terms)
 

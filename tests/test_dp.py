@@ -23,7 +23,7 @@ from latinrect.dp import (
     weight_series,
     weight_snapshots,
 )
-from latinrect.poly import RING_2ROW, RING_KERNEL, WeightPolynomial
+from latinrect.poly import RING_2ROW, RING_KERNEL, RingMismatchError, WeightPolynomial
 from latinrect.sequences import TRAPEZOID_SPEC
 from latinrect.tiles import (
     UNIT_WEIGHT,
@@ -215,6 +215,20 @@ class TestSeriesTable:
         with pytest.raises(IndexError):
             table.poly(5)
         assert [table.poly(n) for n in range(5)] == list(table.polys)
+
+
+class TestSnapshotRows:
+    def test_read_as_the_other_ring_size(self):
+        two = dict(dpmod.packed_snapshots(
+            enumerate_tiles(ShiftSpec.two_rows({0})), rectangle(2), 2))[2]
+        three = dict(dpmod.packed_snapshots(
+            enumerate_tiles(ShiftSpec.three_rows({0}, {0}, {0})), rectangle(3), 2))[2]
+        assert two.dense_run() == (0, [1, -2, 1])  # (x - 1)^2
+        assert list(three.key_groups())
+        with pytest.raises(RingMismatchError, match="2-row snapshot read as 3 rows"):
+            two.key_groups()
+        with pytest.raises(RingMismatchError, match="3-row snapshot read as 2 rows"):
+            three.dense_run()
 
 
 def slot_digits(v: int, bits: int) -> list[int]:

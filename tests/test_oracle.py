@@ -80,6 +80,11 @@ class TestTwoRows:
         with pytest.raises(OracleLimitError):
             count_generalized_perms({0}, oracle.MAX_N_TWO_ROWS + 1)
 
+    def test_negative_n_rejected(self):
+        for count in (count_generalized_perms, count_generalized_perms_banded):
+            with pytest.raises(ValueError, match="negative board size"):
+                count({0}, -1)
+
 
 class TestBandedRoute:
     def test_matches_backtracking(self):
@@ -113,6 +118,12 @@ class TestThreeRows:
     def test_cycle_type_route_agrees(self):
         for n in range(1, 7):
             assert count_latin3_cycle_type(n) == count_glr3({0}, {0}, {0}, n)
+
+    def test_cycle_type_route_at_the_edges(self):
+        # the empty rectangle is one reduced rectangle: one empty middle row
+        assert count_latin3_cycle_type(0) == 1
+        with pytest.raises(ValueError, match="negative board size"):
+            count_latin3_cycle_type(-1)
 
     def test_cap(self):
         with pytest.raises(OracleLimitError):
@@ -154,6 +165,10 @@ class TestTriangle:
     def test_cap(self):
         with pytest.raises(OracleLimitError):
             count_latin_triangle(oracle.MAX_N_TRIANGLE + 1)
+
+    def test_small_n_rejected(self):
+        with pytest.raises(ValueError, match="triangles start at n=1"):
+            count_latin_triangle(0)
 
 
 class TestTilingEnumeration:

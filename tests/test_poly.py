@@ -50,6 +50,15 @@ class TestRing:
         with pytest.raises(ValueError):
             PolyRing(("x", "x"))
 
+    def test_empty_variable_name_rejected(self):
+        with pytest.raises(ValueError, match="bad variable names"):
+            PolyRing(("x", ""))
+
+    def test_bad_exponent_vectors_rejected(self):
+        for exps in ((-1,), (1, 0), ()):
+            with pytest.raises(ValueError, match="bad exponent vector"):
+                WeightPolynomial(RING_2ROW, {exps: 1})
+
     def test_constructors(self):
         assert RING_2ROW.zero().is_zero()
         assert RING_2ROW.one().is_one()
@@ -75,6 +84,11 @@ class TestArithmetic:
     def test_zero_terms_dropped(self):
         p = X - X
         assert p.is_zero() and len(p) == 0
+
+    def test_truth_is_having_a_term(self):
+        assert not RING_2ROW.zero()
+        assert RING_2ROW.var("x")
+        assert RING_2ROW.const(-1)
 
     def test_ring_axioms_randomized(self):
         rng = random.Random(20260816)

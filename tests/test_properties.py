@@ -3,14 +3,16 @@ brute-force oracle, S/-S mirror symmetry, the one-pass mirrored
 trapezoid sweep against a sweep of each unmirrored board on its own,
 the glr3 oracle under a swap of rows 1 and 2, 3-row engine counts
 across the twelve row-order and mirror images of a spec, past brute
-force, the 2-row sweep against its rational kernel, and exact-cover
-counts against tiling enumeration.
+force, 3-row counts with s13 or s12 empty against products of 2-row
+counts, also past brute force, the 2-row sweep against its rational
+kernel, and exact-cover counts against tiling enumeration.
 
 Examples are derandomized and not stored, so the run is repeatable and
 writes nothing."""
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from latinrect import oracle
@@ -132,3 +134,36 @@ def test_row_0_images_to_14():
     for image in moved:
         assert glr3_seq(image.s12, image.s13, image.s23, 14, oracle_depth=0).terms == want, \
             image.describe()
+
+
+def glr3_terms(s12, s13, s23, n_terms: int) -> list[int]:
+    return glr3_seq(s12, s13, s23, n_terms, oracle_depth=0).terms
+
+
+def gen_der_products(a, b, n_terms: int) -> list[int]:
+    """g(a, n) * g(b, n) for n = 1..n_terms, g being the gen-der count."""
+    ga = gen_der_seq(a, n_terms, oracle_depth=0).terms
+    gb = gen_der_seq(b, n_terms, oracle_depth=0).terms
+    return [x * y for x, y in zip(ga, gb)]
+
+
+@PROPERTY
+@given(shift_sets, shift_sets)
+def test_three_row_counts_factor_with_an_empty_set(a, s23):
+    """With s13 empty, row 2 meets row 0 only through row 1, so sigma1
+    avoids a and sigma2 * sigma1^-1 avoids s23, each on its own: the
+    count is g(a) * g(s23), g being mirror-symmetric.  The same holds
+    with s12 empty and a as s13.  With s13 empty no tile pairs rows 0
+    and 2, so p stays 0; with s12 empty q does, hence both forms."""
+    want = gen_der_products(a, s23, 12)
+    assert glr3_terms(a, set(), s23, 12) == want, (a, s23)
+    assert glr3_terms(set(), a, s23, 12) == want, (a, s23)
+
+
+@pytest.mark.parametrize("s12,s13,s23", [
+    ({-1, 0, 1}, set(), {-1, 0, 1}),
+    ({-2, 0, 2}, set(), {-1, 0, 1}),
+    (set(), {-2, 0, 2}, {-1, 0, 1}),
+], ids=["-1,0,1/-/-1,0,1", "-2,0,2/-/-1,0,1", "-/-2,0,2/-1,0,1"])
+def test_three_row_counts_factor_to_30(s12, s13, s23):
+    assert glr3_terms(s12, s13, s23, 30) == gen_der_products(s12 or s13, s23, 30)

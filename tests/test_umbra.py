@@ -10,7 +10,7 @@ import pytest
 
 import latinrect.umbra as umbra
 from latinrect.dp import Snapshot, _Run, _Sweep, rectangle
-from latinrect.poly import RING_2ROW, RING_3ROW
+from latinrect.poly import RING_2ROW, RING_3ROW, RingMismatchError
 from latinrect.tiles import ShiftSpec, enumerate_tiles
 from latinrect.umbra import (
     UmbralKind,
@@ -81,6 +81,10 @@ class TestThreeRow:
         # only the C(n-a1, a23) factor sees n
         assert umbral_eval_3row(X2**2 * X3, 4) == umbral_eval_3row(X2**2 * X3, 9)
         assert umbral_eval_3row(X1 * X23, 4) != umbral_eval_3row(X1 * X23, 9)
+
+    def test_wrong_ring_rejected(self):
+        with pytest.raises(RingMismatchError, match="expected ring"):
+            umbral_eval_3row(X + 1, 2)
 
     def test_exponent_past_n_rejected(self):
         # x2 and x3 count free row cells, so no exponent exceeds n

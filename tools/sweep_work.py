@@ -19,13 +19,16 @@ column programs apply, reuses of a built base included.  The columns:
   - reusing: kept targets built from a base;
   - plan s (on the `program` line): the best of 3 constructions of the
     sweep's _Sweep, from the tiles and board packed_snapshots gave it,
-    in seconds: the plan walk, its tables and the programs.
+    in seconds: the plan walk, its tables and the programs;
+  - plan MB (on the `program` line): the tracemalloc peak of one more
+    construction, made apart from the timed ones, in 10^6 bytes.
 """
 
 from __future__ import annotations
 
 import sys
 import timeit
+import tracemalloc
 from pathlib import Path
 
 sys.dont_write_bytecode = True
@@ -44,9 +47,9 @@ SWEEPS = (
 FIELDS = ("ops", "slot steps", "big-int ops", "no free first write", "reusing")
 
 
-def columns(tiles, board: dp.BoardShape, n_max: int) -> tuple[list[tuple], float]:
+def columns(tiles, board: dp.BoardShape, n_max: int) -> tuple[list[tuple], tuple]:
     """(sweep, blocked, live, dist, ndist) for every advance of a sweep,
-    and the best of 3 constructions of its _Sweep, in seconds."""
+    and the arguments packed_snapshots built its _Sweep from."""
     real, init = dp._Sweep.advance, dp._Sweep.__init__
     seen, made = [], []
 
@@ -66,7 +69,20 @@ def columns(tiles, board: dp.BoardShape, n_max: int) -> tuple[list[tuple], float
     finally:
         dp._Sweep.advance, dp._Sweep.__init__ = real, init
     args, = made
-    return seen, min(timeit.repeat(lambda: dp._Sweep(*args), number=1, repeat=3))
+    return seen, args
+
+
+def plan_cost(args: tuple) -> tuple[float, float]:
+    """The best of 3 constructions of a _Sweep from args, in seconds, and
+    the tracemalloc peak of one more, in MB."""
+    best = min(timeit.repeat(lambda: dp._Sweep(*args), number=1, repeat=3))
+    tracemalloc.start()
+    try:
+        dp._Sweep(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return best, peak / 1e6
 
 
 def work(seen: list[tuple]) -> tuple[dict[str, int], dict[str, int]]:
@@ -95,13 +111,15 @@ def work(seen: list[tuple]) -> tuple[dict[str, int], dict[str, int]]:
 
 
 def main() -> int:
-    print(f"{'sweep':<18} {'':<8}" + "".join(f"{f:>21}" for f in FIELDS) + f"{'plan s':>9}")
+    print(f"{'sweep':<18} {'':<8}" + "".join(f"{f:>21}" for f in FIELDS)
+          + f"{'plan s':>9}{'plan MB':>9}")
     for name, spec, board, n_max in SWEEPS:
-        seen, plan = columns(enumerate_tiles(spec), board, n_max)
+        seen, args = columns(enumerate_tiles(spec), board, n_max)
         table, program = work(seen)
-        for label, count, tail in (("table", table, ""), ("program", program, f"{plan:.4f}")):
-            print(f"{name:<18} {label:<8}" + "".join(f"{count[f]:>21,}" for f in FIELDS)
-                  + f"{tail:>9}")
+        seconds, mb = plan_cost(args)
+        for label, count, tail in (("table", table, ""),
+                                   ("program", program, f"{seconds:>9.4f}{mb:>9.2f}")):
+            print(f"{name:<18} {label:<8}" + "".join(f"{count[f]:>21,}" for f in FIELDS) + tail)
     return 0
 
 
